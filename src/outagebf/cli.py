@@ -198,9 +198,6 @@ def cmd_solve_mmf(args, t0):
     instance = model.from_json_dict(_load_json(args.instance))
     if not isinstance(instance, SisoInstance):
         raise ParseError("solve-mmf-siso requires a SisoInstance")
-    rep = model.validate(instance)
-    if not rep.ok:
-        raise ParseError("invalid instance: " + "; ".join(rep.violations))
     sol = mmf_bisection(instance, args.delta)
     lhs = outage_lhs_all(instance, sol.p, instance.alpha * sol.R) if sol.R > 0 else None
     report = {
@@ -404,7 +401,7 @@ def _verify_lemma5(args):
     ps = np.arange(0.0, 2.0 + 1e-12, 0.01)
     violations = 0
     for pbar in (0.0, 0.5, 1.0, 2.0):
-        zs = [solve_zeta(ZetaContext(0.1, 0.95, tuple(t for t in (p, pbar) if t > 0))) for p in ps]
+        zs = [solve_zeta(ZetaContext(0.1, 0.95, (p, pbar))) for p in ps]
         prods = [p * z for p, z in zip(ps, zs)]
         violations += sum(1 for a, b in zip(zs, zs[1:]) if not b < a)
         violations += sum(1 for a, b in zip(prods, prods[1:]) if not b > a)

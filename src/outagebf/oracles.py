@@ -15,7 +15,7 @@ import numpy as np
 from .model import CnfFormula, WeightedGraph
 from .reductions import EDGE_BUDGET, GADGET_RHO, GADGET_SIGMA2, MaxCutGadget, powers_from_cut
 from .solvers import srm_rates_from_powers
-from .zeta import _solve
+from .zeta import zeta_root
 
 __all__ = [
     "exhaustive_maxcut",
@@ -190,15 +190,13 @@ def gadget_grid_objective(gadget: MaxCutGadget, step: float):
         if abs(round(span / step) - span / step) > 1e-9:
             raise ValueError(f"step {step} does not divide the power range {span}")
     vaxis = step * np.arange(round(1.0 / step) + 1)
-    zv = np.array(
-        [_solve(GADGET_SIGMA2, GADGET_RHO, (t,) if t > 0 else (), 1e-14)[0] for t in vaxis]
-    )
+    zv = np.array([zeta_root(GADGET_SIGMA2, GADGET_RHO, (t,), 1e-14)[0] for t in vaxis])
     nv = len(vaxis)
     ze = np.empty((nv, nv))
     for a in range(nv):
         for b in range(a, nv):
-            terms = tuple(t for t in (vaxis[a], vaxis[b]) if t > 0)
-            ze[a, b] = ze[b, a] = _solve(GADGET_SIGMA2, GADGET_RHO, terms, 1e-14)[0]
+            terms = (vaxis[a], vaxis[b])
+            ze[a, b] = ze[b, a] = zeta_root(GADGET_SIGMA2, GADGET_RHO, terms, 1e-14)[0]
 
     vertex_cols = [
         (um.vertex(i, a), um.vertex(i, 1 - a)) for i in range(1, V + 1) for a in (0, 1)

@@ -43,75 +43,61 @@ def instantaneous_rate(channels, beams: BeamformerSet, i: int, sigma2_i: float) 
     return math.log1p(g[i] / (interf + sigma2_i)) / _LN2
 
 
-def _signal_and_interference(instance, x, i):
-    """(s_i, [g_k for k != i]) from either a beamformer set or a power vector."""
-    if isinstance(instance, MisoInstance):
-        w = x.w if isinstance(x, BeamformerSet) else np.asarray(x, dtype=np.complex128)
-        wi = w[i]
-        s = float(np.real(wi.conj() @ instance.Qcov[i, i] @ wi))
-        g = [
-            max(float(np.real(w[k].conj() @ instance.Qcov[k, i] @ w[k])), 0.0)
-            for k in range(instance.K)
-            if k != i
-        ]
-    else:
-        p = np.asarray(x, dtype=np.float64)
-        s = float(instance.Q[i, i] * p[i])
-        g = [float(instance.Q[k, i] * p[k]) for k in range(instance.K) if k != i]
-    return s, g
+def _gains(instance, x) -> np.ndarray:
+    """G[k, i] = power of transmitter k received at receiver i, clipped at 0.
 
-
-def _lhs_from_terms(rho_i, sigma2_i, s, g, R_i):
-    if R_i < 0:
-        raise ValueError("rate must be nonnegative")
-    if R_i == 0.0:
-        return float(rho_i)
-    if not s > 0.0:
-        raise ValueError(
-            "undefined constraint: zero received signal power with positive rate"
-        )
-    c = math.expm1(R_i * _LN2)  # 2^R - 1
-    return rho_i * math.exp(
-        c * sigma2_i / s + sum(math.log1p(c * gk / s) for gk in g)
-    )
-
-
-def outage_lhs(instance: MisoInstance, beams: BeamformerSet, R_i: float, i: int) -> float:
-    """Closed-form outage-constraint LHS for user i; the constraint is LHS <= 1."""
-    s, g = _signal_and_interference(instance, beams, i)
-    return _lhs_from_terms(instance.rho[i], instance.sigma2[i], s, g, R_i)
-
-
-def outage_lhs_siso(instance: SisoInstance, p, R_i: float, i: int) -> float:
-    """SISO specialization of :func:`outage_lhs` for a power vector p."""
-    s, g = _signal_and_interference(instance, p, i)
-    return _lhs_from_terms(instance.rho[i], instance.sigma2[i], s, g, R_i)
-
-
-def outage_lhs_all(instance, x, R) -> np.ndarray:
-    """Vector of constraint LHS values for all users at per-user rates R.
-
-    Accepts a MisoInstance with a BeamformerSet or a SisoInstance with a power
-    vector.  Quadratic forms are evaluated for all (k, i) pairs at once, so
-    this is the fast path for certificate checking.
+    Accepts a MisoInstance with a BeamformerSet (or raw beam array) or a
+    SisoInstance with a power vector; the SISO gains are Q_ki p_k.
     """
-    R = np.asarray(R, dtype=np.float64)
-    K = instance.K
-    if R.shape != (K,):
-        raise ValueError(f"R must have shape ({K},)")
     if isinstance(instance, MisoInstance):
         w = x.w if isinstance(x, BeamformerSet) else np.asarray(x, dtype=np.complex128)
         G = np.einsum("ka,kiab,kb->ki", w.conj(), instance.Qcov, w).real
     else:
         p = np.asarray(x, dtype=np.float64)
         G = instance.Q * p[:, None]
-    G = np.maximum(G, 0.0)
-    out = np.empty(K)
-    for i in range(K):
-        s = float(G[i, i])
-        g = [float(G[k, i]) for k in range(K) if k != i]
-        out[i] = _lhs_from_terms(instance.rho[i], instance.sigma2[i], s, g, R[i])
-    return out
+    return np.maximum(G, 0.0)
+
+
+def _lhs_from_terms(instance, G, R_i, i):
+    """Constraint LHS of user i at rate R_i, read from the gains matrix G."""
+    if R_i < 0:
+        raise ValueError("rate must be nonnegative")
+    if R_i == 0.0:
+        return float(instance.rho[i])
+    g = G[:, i].tolist()
+    s = g.pop(i)
+    if not s > 0.0:
+        raise ValueError(
+            "undefined constraint: zero received signal power with positive rate"
+        )
+    c = math.expm1(R_i * _LN2)  # 2^R - 1
+    return instance.rho[i] * math.exp(
+        c * instance.sigma2[i] / s + sum(math.log1p(c * gk / s) for gk in g)
+    )
+
+
+def outage_lhs(instance: MisoInstance, beams: BeamformerSet, R_i: float, i: int) -> float:
+    """Closed-form outage-constraint LHS for user i; the constraint is LHS <= 1."""
+    return _lhs_from_terms(instance, _gains(instance, beams), R_i, i)
+
+
+def outage_lhs_siso(instance: SisoInstance, p, R_i: float, i: int) -> float:
+    """SISO specialization of :func:`outage_lhs` for a power vector p."""
+    return _lhs_from_terms(instance, _gains(instance, p), R_i, i)
+
+
+def outage_lhs_all(instance, x, R) -> np.ndarray:
+    """Vector of constraint LHS values for all users at per-user rates R.
+
+    Accepts a MisoInstance with a BeamformerSet or a SisoInstance with a power
+    vector; every quadratic form is evaluated once, for all (k, i) pairs.
+    """
+    R = np.asarray(R, dtype=np.float64)
+    K = instance.K
+    if R.shape != (K,):
+        raise ValueError(f"R must have shape ({K},)")
+    G = _gains(instance, x)
+    return np.array([_lhs_from_terms(instance, G, R[i], i) for i in range(K)])
 
 
 def _cov_factor(Q: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from .model import (
     WeightedGraph,
 )
 from .outage import outage_lhs_all
-from .zeta import ZetaContext, _solve, zeta_upper_bound
+from .zeta import ZetaContext, zeta_root, zeta_upper_bound
 
 __all__ = [
     "CertificateError",
@@ -67,10 +67,6 @@ SAT_RBAR = 1.0
 
 class CertificateError(ValueError):
     """Raised when a claimed certificate is not in the certificate set."""
-
-
-def _zeta_g(*terms) -> float:
-    return _solve(GADGET_SIGMA2, GADGET_RHO, tuple(t for t in terms if t > 0), 1e-14)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,13 +134,13 @@ def reduce_maxcut(graph: WeightedGraph) -> MaxCutGadget:
         alpha=alpha,
     )
 
-    zeta_solo = _zeta_g()
-    zeta_paired = _zeta_g(1.0)
-    edge_rates = {
-        (a, b): math.log1p(EDGE_BUDGET * _zeta_g(float(a), float(b))) / _LN2
-        for a in (0, 1)
-        for b in (0, 1)
-    }
+    zeta_solo = zeta_root(GADGET_SIGMA2, GADGET_RHO, (), 1e-14)[0]
+    zeta_paired = zeta_root(GADGET_SIGMA2, GADGET_RHO, (1.0,), 1e-14)[0]
+    edge_rates = {}
+    for a in (0, 1):
+        for b in (0, 1):
+            ze = zeta_root(GADGET_SIGMA2, GADGET_RHO, (a, b), 1e-14)[0]
+            edge_rates[(a, b)] = math.log1p(EDGE_BUDGET * ze) / _LN2
     cut_gain = (
         edge_rates[(0, 0)] + edge_rates[(1, 1)] - edge_rates[(0, 1)] - edge_rates[(1, 0)]
     )
@@ -383,12 +379,13 @@ def gadget_constants() -> dict:
     zbar = zeta_upper_bound(ctx1)
     s2 = GADGET_SIGMA2
     lr = math.log(1.0 / GADGET_RHO)
-    rate_solo = math.log1p(_zeta_g()) / _LN2
-    rate_paired = math.log1p(_zeta_g(1.0)) / _LN2
+    zeta_solo = zeta_root(GADGET_SIGMA2, GADGET_RHO, (), 1e-14)[0]
+    rate_solo = math.log1p(zeta_solo) / _LN2
+    rate_paired = math.log1p(zeta_root(GADGET_SIGMA2, GADGET_RHO, (1.0,), 1e-14)[0]) / _LN2
     return {
         "vertex_rate_solo": (rate_solo, 0.5973),
         "vertex_rate_paired": (rate_paired, 0.0671),
-        "edge_rate_quiet": (math.log1p(EDGE_BUDGET * _zeta_g()) / _LN2, 0.4426),
+        "edge_rate_quiet": (math.log1p(EDGE_BUDGET * zeta_solo) / _LN2, 0.4426),
         "double_activation_penalty": (rate_solo - 2.0 * rate_paired, 0.4631),
         "paired_product_bound": (lr * (1.0 + zbar), 0.0537),
         "edge_slope_bound": (

@@ -15,15 +15,16 @@ max-min-fair solution.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import SisoInstance
-from .outage import outage_lhs_siso
-from .zeta import ZetaContext, _solve
+from .model import SisoInstance, validate
+from .outage import outage_lhs_all
+from .zeta import zeta_root
 
 __all__ = [
     "srm_rates_from_powers",
@@ -47,13 +48,23 @@ _LHS_SLACK = 1e-9
 _POWER_SLACK = 1e-12
 
 
+def _check(instance: SisoInstance) -> None:
+    """Entry check of the public SISO solvers: reject what model.validate rejects."""
+    rep = validate(instance)
+    if not rep.ok:
+        raise ValueError("invalid instance: " + "; ".join(rep.violations))
+
+
 def _zeta_for_user(instance: SisoInstance, p, i: int) -> float:
-    terms = [
-        float(instance.Q[k, i] * p[k])
-        for k in range(instance.K)
-        if k != i and instance.Q[k, i] * p[k] > 0
-    ]
-    return _solve(float(instance.sigma2[i]), float(instance.rho[i]), terms, 1e-13)[0]
+    """zeta_i at the interference Q_ki p_k the other users cause at receiver i."""
+    terms = (instance.Q[:, i] * p).tolist()
+    del terms[i]
+    return zeta_root(float(instance.sigma2[i]), float(instance.rho[i]), terms, 1e-13)[0]
+
+
+def _response(instance: SisoInstance, p, i: int, c_i: float) -> float:
+    """Minimal own power c_i / (Q_ii zeta_i) meeting SINR threshold c_i = 2^R - 1."""
+    return c_i / (float(instance.Q[i, i]) * _zeta_for_user(instance, p, i))
 
 
 def srm_rates_from_powers(instance: SisoInstance, p) -> np.ndarray:
@@ -86,8 +97,7 @@ def min_power_response(instance: SisoInstance, i: int, p_others, R_target: float
     if R_target == 0.0:
         return 0.0
     c = math.expm1(R_target * _LN2)
-    z = _zeta_for_user(instance, np.asarray(p_others, dtype=np.float64), i)
-    return c / (float(instance.Q[i, i]) * z)
+    return _response(instance, np.asarray(p_others, dtype=np.float64), i, c)
 
 
 @dataclass
@@ -115,9 +125,6 @@ def _feasible_at_targets(
 ) -> FeasibilityResult:
     """Fixed point of the minimal-power response at per-user rate targets."""
     K = instance.K
-    Q = instance.Q
-    sigma2 = instance.sigma2
-    rho = instance.rho
     P = instance.P
     c = [math.expm1(t * _LN2) for t in targets]
     p = [0.0] * K
@@ -130,11 +137,7 @@ def _feasible_at_targets(
         for i in range(K):
             if c[i] == 0.0:
                 continue
-            terms = [
-                Q[k, i] * p[k] for k in range(K) if k != i and Q[k, i] * p[k] > 0
-            ]
-            z = _solve(float(sigma2[i]), float(rho[i]), terms, 1e-13)[0]
-            pi = c[i] / (float(Q[i, i]) * z)
+            pi = _response(instance, p, i, c[i])
             p_new[i] = pi
             if pi > P[i] + _POWER_SLACK:
                 exceeded = True
@@ -149,12 +152,8 @@ def _feasible_at_targets(
             break
         p = p_new
     p_arr = np.array(p)
-    residual = 0.0
-    for i in range(K):
-        if targets[i] > 0 and p_arr[i] > 0:
-            residual = max(
-                residual, outage_lhs_siso(instance, p_arr, float(targets[i]), i) - 1.0
-            )
+    lhs = outage_lhs_all(instance, p_arr, np.where(p_arr > 0, targets, 0.0))
+    residual = max(0.0, float(np.max(lhs)) - 1.0)
     ok = (
         converged
         and not exceeded
@@ -181,6 +180,7 @@ def feasibility_fixed_point(
     verdict re-checks the witness against the closed-form constraints
     (LHS <= 1 + 1e-9, p <= P + 1e-12).
     """
+    _check(instance)
     if R_bar < 0:
         raise ValueError("R_bar must be nonnegative")
     targets = instance.alpha * R_bar
@@ -233,6 +233,7 @@ def mmf_bisection(instance: SisoInstance, delta: float) -> MmfSolution:
     fixed-point witness.  The iteration count equals ceil(log2(upper/delta))
     whenever upper/delta is not an exact power of two.
     """
+    _check(instance)
     if not delta > 0:
         raise ValueError("delta must be positive")
     hi = mmf_upper_bound(instance)
@@ -243,7 +244,7 @@ def mmf_bisection(instance: SisoInstance, delta: float) -> MmfSolution:
     it = 0
     while hi - lo >= delta:
         mid = 0.5 * (lo + hi)
-        res = feasibility_fixed_point(instance, mid)
+        res = _feasible_at_targets(instance, instance.alpha * mid)
         tested.append((mid, res.feasible))
         if res.feasible:
             lo = mid
@@ -301,6 +302,7 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
     Returns (rho_star, witness powers); raises if even the smallest tested
     rho is infeasible ("targets unachievable").
     """
+    _check(instance)
     if not tol > 0:
         raise ValueError("tol must be positive")
     R_targets = np.asarray(R_targets, dtype=np.float64)
@@ -312,13 +314,7 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
     best = None
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
-        inst_mid = SisoInstance(
-            Q=instance.Q,
-            sigma2=instance.sigma2,
-            rho=np.full(instance.K, mid),
-            P=instance.P,
-            alpha=instance.alpha,
-        )
+        inst_mid = dataclasses.replace(instance, rho=np.full(instance.K, mid))
         res = _feasible_at_targets(inst_mid, R_targets)
         if res.feasible:
             lo = mid
@@ -336,7 +332,7 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
 
 @lru_cache(maxsize=4096)
 def _zeta1(sigma2: float, rho: float, t: float) -> float:
-    return _solve(sigma2, rho, (t,) if t > 0 else (), 1e-13)[0]
+    return zeta_root(sigma2, rho, (t,), 1e-13)[0]
 
 
 @dataclass(frozen=True)
@@ -354,9 +350,6 @@ class VertexSliceContext:
     sigma2: float = 0.1
     rho: float = 0.95
 
-    def as_zeta_context(self, terms=()) -> ZetaContext:
-        return ZetaContext(sigma2=self.sigma2, rho=self.rho, terms=terms)
-
 
 def single_user_objective_F(p: float, ctx: VertexSliceContext) -> float:
     """Weighted rate contribution of one vertex user's power, all else fixed.
@@ -371,7 +364,7 @@ def single_user_objective_F(p: float, ctx: VertexSliceContext) -> float:
     zv = _zeta1(s2, rho, p)
     F = math.log1p(p * zp) / _LN2 + math.log1p(q * zv) / _LN2
     for qj, alpha in ctx.neighbors:
-        ze = _solve(s2, rho, tuple(t for t in (p, qj) if t > 0), 1e-13)[0]
+        ze = zeta_root(s2, rho, (p, qj), 1e-13)[0]
         F += alpha * math.log1p(0.7 * ze) / _LN2
     return F
 
@@ -395,7 +388,7 @@ def single_user_objective_f(p: float, ctx: VertexSliceContext) -> float:
     val = zp / (1.0 + p * zp)
     val -= (q * zv / (1.0 + q * zv)) / (s2 + s2 * p * zv + p)
     for qj, alpha in ctx.neighbors:
-        ze = _solve(s2, rho, tuple(t for t in (p, qj) if t > 0), 1e-13)[0]
+        ze = zeta_root(s2, rho, (p, qj), 1e-13)[0]
         u = 1.0 + qj * ze
         denom = (1.0 + p * ze) * (qj + s2 * u) + p * u
         val -= alpha * (0.7 * ze / (1.0 + 0.7 * ze)) * u / denom

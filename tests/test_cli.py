@@ -211,6 +211,17 @@ def test_solve_mmf_rejects_miso(capsys, tmp_path):
     assert "SisoInstance" in err
 
 
+def test_solve_mmf_rejects_invalid_instance(capsys, tmp_path, two_user_instance):
+    d = model.to_json_dict(two_user_instance)
+    d["P"][0] = -1.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    rc, out, err = run(capsys, "solve-mmf-siso", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: invalid instance: P[0] = -1 must be > 0")
+
+
 # -- reductions and certificates --------------------------------------------
 
 def test_reduce_maxcut_bundle_shape(capsys, graph_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,6 +89,17 @@ def test_feasibility_fixed_point_high_rate(two_user_instance):
         feasibility_fixed_point(two_user_instance, -0.1)
 
 
+def test_witness_is_fixed_point_of_min_power_response(three_user_instance):
+    # the public response is the map the feasibility sweep iterates
+    R_bar = 0.08
+    res = feasibility_fixed_point(three_user_instance, R_bar)
+    assert res.feasible
+    for i in range(three_user_instance.K):
+        target = three_user_instance.alpha[i] * R_bar
+        resp = min_power_response(three_user_instance, i, res.p, target)
+        assert resp == pytest.approx(res.p[i], abs=1e-12)
+
+
 def test_feasibility_witness_meets_targets(two_user_instance):
     R_bar = 0.15
     res = feasibility_fixed_point(two_user_instance, R_bar)
@@ -157,6 +169,31 @@ def test_mmf_witness_feasible(three_user_instance):
 def test_mmf_rejects_bad_delta(two_user_instance):
     with pytest.raises(ValueError):
         mmf_bisection(two_user_instance, 0.0)
+
+
+def _with(inst, name, index, value):
+    arr = np.array(getattr(inst, name))
+    arr[index] = value
+    return dataclasses.replace(inst, **{name: arr})
+
+
+@pytest.mark.parametrize(
+    "name, index, value",
+    [("Q", (0, 0), 0.0), ("P", 1, -0.5), ("alpha", 0, 0.0), ("sigma2", 1, 0.0)],
+    ids=["direct-link-zero", "negative-budget", "zero-weight", "zero-noise"],
+)
+def test_mmf_rejects_invalid_instance(two_user_instance, name, index, value):
+    bad = _with(two_user_instance, name, index, value)
+    with pytest.raises(ValueError, match="invalid instance: "):
+        mmf_bisection(bad, 1e-5)
+
+
+def test_siso_solvers_validate_on_entry(two_user_instance):
+    bad = _with(two_user_instance, "Q", (1, 1), 0.0)
+    with pytest.raises(ValueError, match=r"invalid instance: Q\[1,1\]"):
+        feasibility_fixed_point(bad, 0.1)
+    with pytest.raises(ValueError, match=r"invalid instance: Q\[1,1\]"):
+        outage_balancing_siso(bad, [0.1, 0.1])
 
 
 def test_modulus_bound_scales_linearly(two_user_instance):
