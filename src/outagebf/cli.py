@@ -479,15 +479,15 @@ def _verify_algorithm1(args):
         if feas_mids and infeas_mids:
             ok &= max(feas_mids) < min(infeas_mids)
         step = 0.05
-        grid = GridSpec(lower=(0.0,) * K, upper=tuple(inst.P), step=(step,) * K)
+        # per-axis steps of at most `step` whose lattice ends exactly at P_i
+        axis_steps = tuple(P / math.ceil(P / step) for P in inst.P)
+        grid = GridSpec(lower=(0.0,) * K, upper=tuple(inst.P), step=axis_steps)
 
         def obj(p):
             return float(np.min(srm_rates_from_powers(inst, p) / inst.alpha))
 
         _, r_grid = grid_search(vectorize_scalar(obj), grid)
-        # the truncated top cell puts the optimum within one full step of the
-        # lattice, hence the modulus at 2*step
-        band = args.delta + mmf_modulus_bound(inst, 2.0 * step)
+        band = args.delta + mmf_modulus_bound(inst, step)
         ok &= r_grid - args.delta <= sol.R <= r_grid + band
         worst = max(worst, abs(sol.R - r_grid))
     detail = {"trials": args.trials, "delta": args.delta, "worst_grid_gap": worst}
@@ -604,7 +604,7 @@ def main(argv=None) -> int:
     except CertificateError as e:
         print(f"certificate rejected: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -322,7 +322,7 @@ def validate(instance) -> ValidationReport:
     """
     v: list[str] = []
     K = instance.K
-    for name, lo_open in (("sigma2", True), ("P", True), ("alpha", True)):
+    for name in ("sigma2", "P", "alpha"):
         arr = getattr(instance, name)
         for i in range(K):
             if not arr[i] > 0:

@@ -190,13 +190,13 @@ def gadget_grid_objective(gadget: MaxCutGadget, step: float):
         if abs(round(span / step) - span / step) > 1e-9:
             raise ValueError(f"step {step} does not divide the power range {span}")
     vaxis = step * np.arange(round(1.0 / step) + 1)
-    zv = np.array([zeta_root(GADGET_SIGMA2, GADGET_RHO, (t,), 1e-14)[0] for t in vaxis])
+    zv = np.array([zeta_root(GADGET_SIGMA2, GADGET_RHO, (t,))[0] for t in vaxis])
     nv = len(vaxis)
     ze = np.empty((nv, nv))
     for a in range(nv):
         for b in range(a, nv):
             terms = (vaxis[a], vaxis[b])
-            ze[a, b] = ze[b, a] = zeta_root(GADGET_SIGMA2, GADGET_RHO, terms, 1e-14)[0]
+            ze[a, b] = ze[b, a] = zeta_root(GADGET_SIGMA2, GADGET_RHO, terms)[0]
 
     vertex_cols = [
         (um.vertex(i, a), um.vertex(i, 1 - a)) for i in range(1, V + 1) for a in (0, 1)

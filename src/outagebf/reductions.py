@@ -134,12 +134,12 @@ def reduce_maxcut(graph: WeightedGraph) -> MaxCutGadget:
         alpha=alpha,
     )
 
-    zeta_solo = zeta_root(GADGET_SIGMA2, GADGET_RHO, (), 1e-14)[0]
-    zeta_paired = zeta_root(GADGET_SIGMA2, GADGET_RHO, (1.0,), 1e-14)[0]
+    zeta_solo = zeta_root(GADGET_SIGMA2, GADGET_RHO, ())[0]
+    zeta_paired = zeta_root(GADGET_SIGMA2, GADGET_RHO, (1.0,))[0]
     edge_rates = {}
     for a in (0, 1):
         for b in (0, 1):
-            ze = zeta_root(GADGET_SIGMA2, GADGET_RHO, (a, b), 1e-14)[0]
+            ze = zeta_root(GADGET_SIGMA2, GADGET_RHO, (a, b))[0]
             edge_rates[(a, b)] = math.log1p(EDGE_BUDGET * ze) / _LN2
     cut_gain = (
         edge_rates[(0, 0)] + edge_rates[(1, 1)] - edge_rates[(0, 1)] - edge_rates[(1, 0)]
@@ -242,7 +242,6 @@ class SatGadget:
     usermap: UserMap
     cnf: CnfFormula
     rbar: float
-    coupling: tuple
 
 
 def reduce_3sat(cnf: CnfFormula) -> SatGadget:
@@ -289,9 +288,7 @@ def reduce_3sat(cnf: CnfFormula) -> SatGadget:
         P=np.ones(K),
         alpha=np.ones(K),
     )
-    return SatGadget(
-        instance=instance, usermap=usermap, cnf=cnf, rbar=SAT_RBAR, coupling=A
-    )
+    return SatGadget(instance=instance, usermap=usermap, cnf=cnf, rbar=SAT_RBAR)
 
 
 def beamformers_from_assignment(assignment, gadget: SatGadget) -> BeamformerSet:
@@ -379,9 +376,9 @@ def gadget_constants() -> dict:
     zbar = zeta_upper_bound(ctx1)
     s2 = GADGET_SIGMA2
     lr = math.log(1.0 / GADGET_RHO)
-    zeta_solo = zeta_root(GADGET_SIGMA2, GADGET_RHO, (), 1e-14)[0]
+    zeta_solo = zeta_root(GADGET_SIGMA2, GADGET_RHO, ())[0]
     rate_solo = math.log1p(zeta_solo) / _LN2
-    rate_paired = math.log1p(zeta_root(GADGET_SIGMA2, GADGET_RHO, (1.0,), 1e-14)[0]) / _LN2
+    rate_paired = math.log1p(zeta_root(GADGET_SIGMA2, GADGET_RHO, (1.0,))[0]) / _LN2
     return {
         "vertex_rate_solo": (rate_solo, 0.5973),
         "vertex_rate_paired": (rate_paired, 0.0671),

@@ -59,7 +59,7 @@ def _zeta_for_user(instance: SisoInstance, p, i: int) -> float:
     """zeta_i at the interference Q_ki p_k the other users cause at receiver i."""
     terms = (instance.Q[:, i] * p).tolist()
     del terms[i]
-    return zeta_root(float(instance.sigma2[i]), float(instance.rho[i]), terms, 1e-13)[0]
+    return zeta_root(float(instance.sigma2[i]), float(instance.rho[i]), terms)[0]
 
 
 def _response(instance: SisoInstance, p, i: int, c_i: float) -> float:
@@ -332,7 +332,7 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
 
 @lru_cache(maxsize=4096)
 def _zeta1(sigma2: float, rho: float, t: float) -> float:
-    return zeta_root(sigma2, rho, (t,), 1e-13)[0]
+    return zeta_root(sigma2, rho, (t,))[0]
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ def single_user_objective_F(p: float, ctx: VertexSliceContext) -> float:
     zv = _zeta1(s2, rho, p)
     F = math.log1p(p * zp) / _LN2 + math.log1p(q * zv) / _LN2
     for qj, alpha in ctx.neighbors:
-        ze = zeta_root(s2, rho, (p, qj), 1e-13)[0]
+        ze = zeta_root(s2, rho, (p, qj))[0]
         F += alpha * math.log1p(0.7 * ze) / _LN2
     return F
 
@@ -388,7 +388,7 @@ def single_user_objective_f(p: float, ctx: VertexSliceContext) -> float:
     val = zp / (1.0 + p * zp)
     val -= (q * zv / (1.0 + q * zv)) / (s2 + s2 * p * zv + p)
     for qj, alpha in ctx.neighbors:
-        ze = zeta_root(s2, rho, (p, qj), 1e-13)[0]
+        ze = zeta_root(s2, rho, (p, qj))[0]
         u = 1.0 + qj * ze
         denom = (1.0 + p * ze) * (qj + s2 * u) + p * u
         val -= alpha * (0.7 * ze / (1.0 + 0.7 * ze)) * u / denom

@@ -71,6 +71,13 @@ def test_zeta_reports_root(capsys):
     assert err.startswith("elapsed_s=")
 
 
+def test_zeta_non_finite_root_exits_2(capsys):
+    rc, out, err = run(capsys, "zeta", "--sigma2", "1e-310", "--rho", "1e-300")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_timing_goes_to_stderr_not_stdout(capsys):
     rc, out, err = run(capsys, "zeta", "--sigma2", "0.5", "--rho", "0.9")
     assert "elapsed" not in out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import zeta_bisect
 from outagebf.zeta import (
@@ -168,3 +170,46 @@ def test_derivative_rejects_negative_powers():
         dzeta_v_dp(-1.0, ctx)
     with pytest.raises(ValueError):
         dzeta_e_dp(0.1, -0.2, ctx)
+
+
+def _log_psi(x, ctx):
+    return math.fsum([math.log(ctx.rho), ctx.sigma2 * x, *(math.log1p(t * x) for t in ctx.terms)])
+
+
+def _brackets_root(z, ctx, eps):
+    return _log_psi(z * (1.0 - eps), ctx) <= 0.0 <= _log_psi(z * (1.0 + eps), ctx)
+
+
+def test_stalled_newton_still_reaches_root():
+    # rho = 1e-300 puts the root far above every early Newton iterate
+    z = solve_zeta(ZetaContext(1.0, 1e-300, (1.0,)))
+    assert z == pytest.approx(684.2457503646339, rel=1e-12)
+
+
+def test_non_finite_root_raises():
+    with pytest.raises(ArithmeticError):
+        solve_zeta(ZetaContext(1e-310, 1e-300))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    sigma2=st.floats(0.05, 3.0),
+    rho=st.floats(0.4, 0.995),
+    terms=st.lists(st.floats(0.0, 3.0), max_size=8),
+)
+def test_root_brackets_sign_change(sigma2, rho, terms):
+    ctx = ZetaContext(sigma2, rho, tuple(terms))
+    assert _brackets_root(solve_zeta(ctx), ctx, 1e-14)
+
+
+EXTREME_TERMS = [(), (1e-6,), (1.0,), (1e6,), (1.0,) * 8, (1e-9, 1e9)]
+
+
+@pytest.mark.parametrize("sigma2", [1e-12, 1e-6, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("rho", [1e-300, 1e-12, 0.5, 0.9999, 1.0 - 1e-12])
+def test_root_at_parameter_extremes(sigma2, rho):
+    for terms in EXTREME_TERMS:
+        ctx = ZetaContext(sigma2, rho, terms)
+        z, _, its = solve_zeta(ctx, full_output=True)
+        assert math.isfinite(z) and its < 200, (terms, z, its)
+        assert _brackets_root(z, ctx, 1e-12), terms
