@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -18,9 +19,12 @@ import time
 import numpy as np
 
 from . import model, sampling
-from .model import BeamformerSet, ParseError, SisoInstance, WeightedGraph
-from .outage import mc_outage, outage_lhs_all
+from .model import BeamformerSet, CnfFormula, ParseError, SisoInstance, WeightedGraph
+from .outage import LHS_SLACK, mc_outage, outage_lhs_all
 from .reductions import (
+    EDGE_BUDGET,
+    GADGET_RHO,
+    GADGET_SIGMA2,
     CertificateError,
     assignment_from_beamformers,
     beamformers_from_assignment,
@@ -53,6 +57,7 @@ from .oracles import (
 from .zeta import ZetaContext, dzeta_e_dp, dzeta_v_dp, solve_zeta, zeta_upper_bound
 
 _CONST_TOL = 5e-4
+_IDENTITY_TOL = 1e-9
 
 
 def _sha256(path: str) -> str:
@@ -65,11 +70,25 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_json(path: str) -> dict:
+def _parse_object(text: str, source: str) -> dict:
     try:
-        return json.loads(_read_text(path))
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON ({e})") from None
+        raise ParseError(f"{source}: invalid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{source}: expected a JSON object")
+    return obj
+
+
+def _load_json(path: str) -> dict:
+    return _parse_object(_read_text(path), path)
+
+
+def _power_vector(d: dict) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in d["p"]])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError("a PowerVector needs a list of numbers 'p'") from None
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -126,7 +145,7 @@ def cmd_eval_outage(args, t0):
     rates = np.array(_parse_floats(args.rates, "--rates"))
     if isinstance(instance, SisoInstance):
         if sol.get("type") == "PowerVector":
-            x = np.array([float(v) for v in sol["p"]])
+            x = _power_vector(sol)
         else:
             decoded = model.from_json_dict(sol)
             if not (isinstance(decoded, BeamformerSet) and decoded.Nt == 1):
@@ -147,7 +166,7 @@ def cmd_eval_outage(args, t0):
     lhs = outage_lhs_all(instance, x, rates)
     report = {
         "lhs": _round_list(lhs),
-        "satisfied": [bool(v <= 1.0 + 1e-9) for v in lhs],
+        "satisfied": [bool(v <= 1.0 + LHS_SLACK) for v in lhs],
     }
     if args.samples:
         mc = []
@@ -158,7 +177,7 @@ def cmd_eval_outage(args, t0):
                     "user": i,
                     "estimate": est,
                     "stderr": se,
-                    "closed_form": 1.0 - float(instance.rho[i]) if lhs[i] <= 1 + 1e-9 else None,
+                    "closed_form": 1.0 - float(instance.rho[i]) if report["satisfied"][i] else None,
                 }
             )
         report["mc"] = mc
@@ -255,16 +274,23 @@ def cmd_reduce_3sat(args, t0):
     return _emit(args, "reduce-3sat", {"cnf": args.cnf}, report, "ok", t0)
 
 
-def _load_reduction(bundle: dict):
-    kind = bundle.get("kind") or bundle.get("report", {}).get("kind")
+def _load_reduction(bundle: dict, kinds=("maxcut", "3sat")):
     body = bundle.get("report", bundle)
-    if kind == "maxcut":
-        graph = model.from_json_dict(body["source"])
-        return reduce_maxcut(graph)
-    if kind == "3sat":
-        cnf = model.from_json_dict(body["source"])
-        return reduce_3sat(cnf)
-    raise ParseError("not a reduction bundle (missing kind maxcut|3sat)")
+    body = body if isinstance(body, dict) else {}
+    kind = bundle.get("kind") or body.get("kind")
+    if kind not in kinds or "source" not in body:
+        raise ParseError(f"not a reduction bundle (needs kind {'|'.join(kinds)} and a source)")
+    source = model.from_json_dict(body["source"])
+    if not isinstance(source, WeightedGraph if kind == "maxcut" else CnfFormula):
+        raise ParseError(f"{kind} reduction bundle has a {type(source).__name__} source")
+    return reduce_maxcut(source) if kind == "maxcut" else reduce_3sat(source)
+
+
+def _identity_gap(gadget, S, p):
+    """Weighted sum rate at powers p, the cut identity's value for S, their gap."""
+    direct = float(gadget.instance.alpha @ srm_rates_from_powers(gadget.instance, p))
+    predicted = srm_value_identity(gadget.graph, S, gadget)
+    return direct, predicted, abs(direct - predicted)
 
 
 def cmd_verify_certificate(args, t0):
@@ -274,7 +300,7 @@ def cmd_verify_certificate(args, t0):
     if hasattr(gadget, "graph"):
         if cert.get("type") != "PowerVector":
             raise ParseError("max-cut certificates are PowerVector JSON")
-        p = np.array([float(v) for v in cert["p"]])
+        p = _power_vector(cert)
         try:
             S = cut_from_powers(p, gadget)
         except CertificateError as e:
@@ -282,17 +308,16 @@ def cmd_verify_certificate(args, t0):
                 args, "verify-certificate", inputs,
                 {"kind": "maxcut", "error": str(e)}, "fail", t0,
             )
-        direct = float(gadget.instance.alpha @ srm_rates_from_powers(gadget.instance, p))
-        predicted = srm_value_identity(gadget.graph, S, gadget)
+        direct, predicted, gap = _identity_gap(gadget, S, p)
         report = {
             "kind": "maxcut",
             "cut": list(S),
             "cutweight": gadget.graph.cut_weight(S),
             "weighted_sum_rate": direct,
             "identity_value": predicted,
-            "identity_gap": abs(direct - predicted),
+            "identity_gap": gap,
         }
-        verdict = "pass" if abs(direct - predicted) <= 1e-9 else "fail"
+        verdict = "pass" if gap <= _IDENTITY_TOL else "fail"
         return _emit(args, "verify-certificate", inputs, report, verdict, t0)
     if cert.get("type") != "BeamformerSet":
         raise ParseError("3-SAT certificates are BeamformerSet JSON")
@@ -345,19 +370,14 @@ def _verify_lemma2(args):
         at_pattern = True
     except CertificateError:
         at_pattern = False
-    um = gadget.usermap
-    worst_bad = -math.inf
-    for pat0 in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)):
-        for pat1 in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)):
-            degenerate = pat0 in ((0.0, 0.0), (1.0, 1.0)) or pat1 in ((0.0, 0.0), (1.0, 1.0))
-            if not degenerate:
-                continue
-            p = np.zeros(um.K)
-            p[um.vertex(1, 0)], p[um.vertex(1, 1)] = pat0
-            p[um.vertex(2, 0)], p[um.vertex(2, 1)] = pat1
-            p[um.edge(1, 2)] = p[um.edge(2, 1)] = 0.7
-            val = float(gadget.instance.alpha @ srm_rates_from_powers(gadget.instance, p))
-            worst_bad = max(worst_bad, val)
+    # users v10, v11, v20, v21, e12, e21; a vertex at (0, 0) or (1, 1) is degenerate
+    pats = ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
+    degenerate = [
+        a + b + (EDGE_BUDGET,) * 2
+        for a, b in itertools.product(pats, repeat=2)
+        if a[0] == a[1] or b[0] == b[1]
+    ]
+    worst_bad = float(np.max(objective(np.array(degenerate))))
     detail = {
         "step": args.step,
         "grid_points": grid.n_points(),
@@ -397,11 +417,10 @@ def _verify_lemma3(args):
 
 
 def _verify_lemma5(args):
-    ctx = ZetaContext(sigma2=0.1, rho=0.95)
     ps = np.arange(0.0, 2.0 + 1e-12, 0.01)
     violations = 0
     for pbar in (0.0, 0.5, 1.0, 2.0):
-        zs = [solve_zeta(ZetaContext(0.1, 0.95, (p, pbar))) for p in ps]
+        zs = [solve_zeta(ZetaContext(GADGET_SIGMA2, GADGET_RHO, (p, pbar))) for p in ps]
         prods = [p * z for p, z in zip(ps, zs)]
         violations += sum(1 for a, b in zip(zs, zs[1:]) if not b < a)
         violations += sum(1 for a, b in zip(prods, prods[1:]) if not b > a)
@@ -412,7 +431,7 @@ def _verify_lemma5(args):
 def _verify_maxcut_equiv(args, bundle=None):
     rng = np.random.default_rng(args.seed)
     if bundle is not None:
-        gadgets = [_load_reduction(bundle)]
+        gadgets = [_load_reduction(bundle, ("maxcut",))]
     else:
         gadgets = [
             reduce_maxcut(sampling.random_connected_graph(rng, int(rng.integers(2, 7))))
@@ -428,13 +447,9 @@ def _verify_maxcut_equiv(args, bundle=None):
         ok &= graph.cut_weight(S_rec) == w_opt
         for mask in range(1 << graph.V):
             S = [v for v in range(1, graph.V + 1) if (mask >> (v - 1)) & 1]
-            direct = float(
-                gadget.instance.alpha
-                @ srm_rates_from_powers(gadget.instance, powers_from_cut(S, gadget))
-            )
-            gap = abs(direct - srm_value_identity(graph, S, gadget))
+            gap = _identity_gap(gadget, S, powers_from_cut(S, gadget))[2]
             worst_gap = max(worst_gap, gap)
-        ok &= worst_gap <= 1e-9
+        ok &= worst_gap <= _IDENTITY_TOL
     detail = {"instances": len(gadgets), "worst_identity_gap": worst_gap}
     return ok, detail
 
@@ -442,7 +457,7 @@ def _verify_maxcut_equiv(args, bundle=None):
 def _verify_sat_equiv(args, bundle=None):
     rng = np.random.default_rng(args.seed)
     if bundle is not None:
-        gadgets = [_load_reduction(bundle)]
+        gadgets = [_load_reduction(bundle, ("3sat",))]
     else:
         gadgets = []
         for _ in range(args.trials):
@@ -452,15 +467,11 @@ def _verify_sat_equiv(args, bundle=None):
     ok = True
     for gadget in gadgets:
         sat, _ = exhaustive_3sat(gadget.cnf)
-        N = gadget.cnf.N
-        found = False
-        for a in range(1 << N):
-            assignment = tuple((a >> (N - n)) & 1 for n in range(1, N + 1))
-            if check_feasibility_certificate(
-                gadget, beamformers_from_assignment(assignment, gadget)
-            ).feasible:
-                found = True
-                break
+        # x_1 most significant, the order of exhaustive_3sat
+        found = any(
+            check_feasibility_certificate(gadget, beamformers_from_assignment(a, gadget)).feasible
+            for a in itertools.product((0, 1), repeat=gadget.cnf.N)
+        )
         ok &= found == sat
     detail = {"instances": len(gadgets)}
     return ok, detail
@@ -505,7 +516,7 @@ def cmd_verify(args, t0):
             if not sys.stdin.isatty():
                 text = sys.stdin.read().strip()
                 if text:
-                    bundle = json.loads(text)
+                    bundle = _parse_object(text, "stdin")
         except OSError:
             pass  # no usable stdin (e.g. under a capturing test runner)
     runner = {

@@ -30,6 +30,8 @@ __all__ = [
 _LN2 = math.log(2.0)
 _MC_CHUNK = 65536
 _PSD_CLIP = 1e-10
+LHS_SLACK = 1e-9  # a constraint counts as met at LHS <= 1 + LHS_SLACK
+POWER_SLACK = 1e-12  # and a power as within budget at p <= P + POWER_SLACK
 
 
 def instantaneous_rate(channels, beams: BeamformerSet, i: int, sigma2_i: float) -> float:

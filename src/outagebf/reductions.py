@@ -35,7 +35,7 @@ from .model import (
     UserMap,
     WeightedGraph,
 )
-from .outage import outage_lhs_all
+from .outage import LHS_SLACK, POWER_SLACK, outage_lhs_all
 from .zeta import ZetaContext, zeta_root, zeta_upper_bound
 
 __all__ = [
@@ -59,10 +59,12 @@ _LN2 = math.log(2.0)
 GADGET_SIGMA2 = 0.1
 GADGET_RHO = 0.95
 EDGE_BUDGET = 0.7
+_CUT_TOL = 1e-6  # largest power deviation cut_from_powers still decodes
 
 SAT_RHO = 0.9
 SAT_CLAUSE_SIGMA2 = 0.01
 SAT_RBAR = 1.0
+_BEAM_TOL = 1e-8  # largest beam deviation assignment_from_beamformers still decodes
 
 
 class CertificateError(ValueError):
@@ -177,7 +179,7 @@ def powers_from_cut(S, gadget: MaxCutGadget) -> np.ndarray:
     return p
 
 
-def cut_from_powers(p, gadget: MaxCutGadget, tol: float = 1e-6):
+def cut_from_powers(p, gadget: MaxCutGadget):
     """Recover the cut from a discrete pattern; rejects anything else."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (gadget.usermap.K,):
@@ -186,9 +188,9 @@ def cut_from_powers(p, gadget: MaxCutGadget, tol: float = 1e-6):
     for i in range(1, gadget.graph.V + 1):
         p0 = p[gadget.usermap.vertex(i, 0)]
         p1 = p[gadget.usermap.vertex(i, 1)]
-        if abs(p0 - 1.0) <= tol and abs(p1) <= tol:
+        if abs(p0 - 1.0) <= _CUT_TOL and abs(p1) <= _CUT_TOL:
             pass
-        elif abs(p0) <= tol and abs(p1 - 1.0) <= tol:
+        elif abs(p0) <= _CUT_TOL and abs(p1 - 1.0) <= _CUT_TOL:
             S.append(i)
         else:
             raise CertificateError(
@@ -197,7 +199,7 @@ def cut_from_powers(p, gadget: MaxCutGadget, tol: float = 1e-6):
     for i, j, _ in gadget.graph.edges:
         for tail, head in ((i, j), (j, i)):
             pe = p[gadget.usermap.edge(tail, head)]
-            if abs(pe - EDGE_BUDGET) > tol:
+            if abs(pe - EDGE_BUDGET) > _CUT_TOL:
                 raise CertificateError(
                     f"non-certificate power vector: edge user e_{tail}{head} power {pe:.6g}"
                 )
@@ -309,13 +311,11 @@ def beamformers_from_assignment(assignment, gadget: SatGadget) -> BeamformerSet:
     return BeamformerSet(w=w)
 
 
-def assignment_from_beamformers(
-    beams: BeamformerSet, gadget: SatGadget, tol: float = 1e-8
-):
+def assignment_from_beamformers(beams: BeamformerSet, gadget: SatGadget):
     """Decode an assignment from axis-aligned variable beams.
 
     Accepts any unit-modulus phase on either axis; anything off-axis (or off
-    unit norm beyond ``tol``) is not a certificate.
+    unit norm beyond _BEAM_TOL) is not a certificate.
     """
     if beams.w.shape != (gadget.usermap.K, 2):
         raise ValueError(f"beamformer set must have shape ({gadget.usermap.K}, 2)")
@@ -323,9 +323,9 @@ def assignment_from_beamformers(
     for n in range(1, gadget.cnf.N + 1):
         w = beams.w[gadget.usermap.vertex(n, 0)]
         a0, a1 = abs(w[0]), abs(w[1])
-        if a1 <= tol and abs(a0 - 1.0) <= tol:
+        if a1 <= _BEAM_TOL and abs(a0 - 1.0) <= _BEAM_TOL:
             out.append(1)
-        elif a0 <= tol and abs(a1 - 1.0) <= tol:
+        elif a0 <= _BEAM_TOL and abs(a1 - 1.0) <= _BEAM_TOL:
             out.append(0)
         else:
             raise CertificateError(
@@ -348,8 +348,8 @@ class CertificateReport:
 def check_feasibility_certificate(gadget: SatGadget, beams: BeamformerSet) -> CertificateReport:
     """Evaluate every outage constraint at the common target rate plus budgets.
 
-    Feasible iff every closed-form LHS is <= 1 + 1e-9 and every transmit
-    power is within its budget + 1e-12.
+    Feasible iff every closed-form LHS is <= 1 + LHS_SLACK and every transmit
+    power is within its budget + POWER_SLACK.
     """
     inst = gadget.instance
     targets = inst.alpha * gadget.rbar
@@ -358,7 +358,7 @@ def check_feasibility_certificate(gadget: SatGadget, beams: BeamformerSet) -> Ce
     viol = float(np.max(lhs - 1.0))
     pviol = float(np.max(powers - inst.P))
     return CertificateReport(
-        feasible=bool(viol <= 1e-9 and pviol <= 1e-12),
+        feasible=bool(viol <= LHS_SLACK and pviol <= POWER_SLACK),
         lhs=lhs,
         powers=powers,
         max_constraint_violation=viol,
@@ -372,18 +372,16 @@ def gadget_constants() -> dict:
     Returns name -> (computed, reference); every computed value must sit
     within 5e-4 of its 4-digit reference.
     """
-    ctx1 = ZetaContext(sigma2=GADGET_SIGMA2, rho=GADGET_RHO, terms=(1.0,))
-    zbar = zeta_upper_bound(ctx1)
+    g = reduce_maxcut(WeightedGraph(V=2, edges=((1, 2, 1.0),)))
+    zbar = zeta_upper_bound(ZetaContext(sigma2=GADGET_SIGMA2, rho=GADGET_RHO, terms=(1.0,)))
     s2 = GADGET_SIGMA2
     lr = math.log(1.0 / GADGET_RHO)
-    zeta_solo = zeta_root(GADGET_SIGMA2, GADGET_RHO, ())[0]
-    rate_solo = math.log1p(zeta_solo) / _LN2
-    rate_paired = math.log1p(zeta_root(GADGET_SIGMA2, GADGET_RHO, (1.0,))[0]) / _LN2
+    rate_paired = math.log1p(g.zeta_paired) / _LN2
     return {
-        "vertex_rate_solo": (rate_solo, 0.5973),
+        "vertex_rate_solo": (g.rate_solo, 0.5973),
         "vertex_rate_paired": (rate_paired, 0.0671),
-        "edge_rate_quiet": (math.log1p(EDGE_BUDGET * zeta_solo) / _LN2, 0.4426),
-        "double_activation_penalty": (rate_solo - 2.0 * rate_paired, 0.4631),
+        "edge_rate_quiet": (g.edge_rates[(0, 0)], 0.4426),
+        "double_activation_penalty": (g.rate_solo - 2.0 * rate_paired, 0.4631),
         "paired_product_bound": (lr * (1.0 + zbar), 0.0537),
         "edge_slope_bound": (
             (lr / s2) * ((1.0 + zbar) * (1.0 + s2 * (1.0 + zbar)) + zbar),

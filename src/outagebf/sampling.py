@@ -17,17 +17,15 @@ __all__ = [
 ]
 
 
-def random_siso_instance(
-    rng: np.random.Generator, K: int, coupling: float = 0.35, p_max: float = 1.2
-) -> SisoInstance:
+def random_siso_instance(rng: np.random.Generator, K: int) -> SisoInstance:
     """Moderately coupled SISO instance with all parameters in sane ranges."""
-    Q = rng.uniform(0.0, coupling, size=(K, K))
+    Q = rng.uniform(0.0, 0.35, size=(K, K))
     Q[np.diag_indices(K)] = rng.uniform(0.6, 1.6, size=K)
     return SisoInstance(
         Q=Q,
         sigma2=rng.uniform(0.4, 1.5, size=K),
         rho=rng.uniform(0.7, 0.95, size=K),
-        P=rng.uniform(0.5, p_max, size=K),
+        P=rng.uniform(0.5, 1.2, size=K),
         alpha=rng.uniform(0.5, 2.0, size=K),
     )
 
@@ -37,13 +35,11 @@ def _random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     return (A @ A.conj().T) / n
 
 
-def random_miso_instance(
-    rng: np.random.Generator, K: int, Nt: int, cross_scale: float = 0.3
-) -> MisoInstance:
+def random_miso_instance(rng: np.random.Generator, K: int, Nt: int) -> MisoInstance:
     Qcov = np.zeros((K, K, Nt, Nt), dtype=np.complex128)
     for k in range(K):
         for i in range(K):
-            scale = 1.0 if k == i else rng.uniform(0.05, cross_scale)
+            scale = 1.0 if k == i else rng.uniform(0.05, 0.3)
             Qcov[k, i] = scale * _random_psd(rng, Nt)
     return MisoInstance(
         Qcov=Qcov,
@@ -64,17 +60,15 @@ def random_beamformers(rng: np.random.Generator, instance: MisoInstance) -> Beam
     return BeamformerSet(w=w / norms * target)
 
 
-def random_connected_graph(
-    rng: np.random.Generator, V: int, extra_edge_prob: float = 0.4
-) -> WeightedGraph:
-    """Random spanning tree plus Bernoulli extra edges; weights in (0, 1]."""
+def random_connected_graph(rng: np.random.Generator, V: int) -> WeightedGraph:
+    """Random spanning tree plus Bernoulli(0.4) extra edges; weights in (0, 1]."""
     edges = set()
     for v in range(2, V + 1):
         u = int(rng.integers(1, v))
         edges.add((u, v))
     for i in range(1, V + 1):
         for j in range(i + 1, V + 1):
-            if (i, j) not in edges and rng.uniform() < extra_edge_prob:
+            if (i, j) not in edges and rng.uniform() < 0.4:
                 edges.add((i, j))
     weighted = tuple((i, j, float(1.0 - rng.uniform())) for i, j in sorted(edges))
     return WeightedGraph(V=V, edges=weighted)
@@ -91,11 +85,9 @@ def random_3cnf(rng: np.random.Generator, N: int, M: int) -> CnfFormula:
     return CnfFormula(N=N, clauses=tuple(clauses))
 
 
-def random_vertex_slice(
-    rng: np.random.Generator, max_neighbors: int = 3
-) -> VertexSliceContext:
-    """Random single-coordinate context from the gadget parameter family."""
-    n = int(rng.integers(0, max_neighbors + 1))
+def random_vertex_slice(rng: np.random.Generator) -> VertexSliceContext:
+    """Random single-coordinate context with 0 to 3 incident edges."""
+    n = int(rng.integers(0, 4))
     weights = rng.uniform(0.1, 1.0, size=n)
     total = float(np.sum(weights) + rng.uniform(0.0, 3.0))
     neighbors = tuple(

@@ -23,8 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .model import SisoInstance, validate
-from .outage import outage_lhs_all
-from .zeta import zeta_root
+from .outage import LHS_SLACK, POWER_SLACK, outage_lhs_all
+from .reductions import EDGE_BUDGET, GADGET_RHO, GADGET_SIGMA2
+from .zeta import _dzeta_dp, zeta_root
 
 __all__ = [
     "srm_rates_from_powers",
@@ -44,8 +45,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _SWEEP_CAP = 10_000
 _SWEEP_TOL = 1e-12
-_LHS_SLACK = 1e-9
-_POWER_SLACK = 1e-12
 
 
 def _check(instance: SisoInstance) -> None:
@@ -139,7 +138,7 @@ def _feasible_at_targets(
                 continue
             pi = _response(instance, p, i, c[i])
             p_new[i] = pi
-            if pi > P[i] + _POWER_SLACK:
+            if pi > P[i] + POWER_SLACK:
                 exceeded = True
         if keep_trace:
             trace.append(tuple(p_new))
@@ -157,8 +156,8 @@ def _feasible_at_targets(
     ok = (
         converged
         and not exceeded
-        and residual <= _LHS_SLACK
-        and bool(np.all(p_arr <= P + _POWER_SLACK))
+        and residual <= LHS_SLACK
+        and bool(np.all(p_arr <= P + POWER_SLACK))
     )
     return FeasibilityResult(
         status="feasible" if ok else "infeasible",
@@ -331,65 +330,55 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _zeta1(sigma2: float, rho: float, t: float) -> float:
-    return zeta_root(sigma2, rho, (t,))[0]
+def _zeta1(t: float) -> float:
+    return zeta_root(GADGET_SIGMA2, GADGET_RHO, (t,))[0]
 
 
 @dataclass(frozen=True)
 class VertexSliceContext:
-    """Environment of one vertex user's power coordinate.
+    """Environment of one vertex user's power coordinate in the cut gadget.
 
     ``partner_power`` is the other user on the same vertex; ``neighbors``
     holds one (partner_power_of_neighbor, edge_weight_alpha) pair per incident
-    edge user.  Defaults match the gadget family (sigma2 = 0.1, rho = 0.95,
-    edge users transmit at 0.7).
+    edge user.  Noise, outage floor and edge power are the gadget's
+    GADGET_SIGMA2, GADGET_RHO and EDGE_BUDGET.
     """
 
     partner_power: float
     neighbors: tuple = ()
-    sigma2: float = 0.1
-    rho: float = 0.95
 
 
 def single_user_objective_F(p: float, ctx: VertexSliceContext) -> float:
     """Weighted rate contribution of one vertex user's power, all else fixed.
 
     F(p) = log2(1 + p zeta(partner)) + log2(1 + partner zeta(p))
-           + sum_j alpha_j log2(1 + 0.7 zeta(p, q_j)).
+           + sum_j alpha_j log2(1 + EDGE_BUDGET zeta(p, q_j)).
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    s2, rho, q = ctx.sigma2, ctx.rho, ctx.partner_power
-    zp = _zeta1(s2, rho, q)
-    zv = _zeta1(s2, rho, p)
-    F = math.log1p(p * zp) / _LN2 + math.log1p(q * zv) / _LN2
+    q = ctx.partner_power
+    F = math.log1p(p * _zeta1(q)) / _LN2 + math.log1p(q * _zeta1(p)) / _LN2
     for qj, alpha in ctx.neighbors:
-        ze = zeta_root(s2, rho, (p, qj))[0]
-        F += alpha * math.log1p(0.7 * ze) / _LN2
+        ze = zeta_root(GADGET_SIGMA2, GADGET_RHO, (p, qj))[0]
+        F += alpha * math.log1p(EDGE_BUDGET * ze) / _LN2
     return F
 
 
 def single_user_objective_f(p: float, ctx: VertexSliceContext) -> float:
-    """Derivative dF/dp via the implicit-function forms of dzeta.
+    """Derivative dF/dp via the implicit-function form of dzeta/dp.
 
-    f * ln 2 = zeta(q)/(1 + p zeta(q))
-               - [q zeta(p) / (1 + q zeta(p))] / (sigma2 + sigma2 p zeta(p) + p)
-               - sum_j alpha_j [0.7 zeta_j / (1 + 0.7 zeta_j)] *
-                     (1 + q_j zeta_j) / ((1 + p zeta_j)(q_j + sigma2(1 + q_j zeta_j))
-                                         + p (1 + q_j zeta_j))
-    with zeta_j = zeta(p, q_j).  F has at most one stationary point on p >= 0:
-    the sign of f makes at most one minus-to-plus transition.
+    f * ln 2 = zeta(q)/(1 + p zeta(q)) + q zeta'(p)/(1 + q zeta(p))
+               + sum_j alpha_j c d_p zeta(p, q_j) / (1 + c zeta(p, q_j)),
+    c = EDGE_BUDGET.  F has at most one stationary point on p >= 0: the sign
+    of f makes at most one minus-to-plus transition.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    s2, rho, q = ctx.sigma2, ctx.rho, ctx.partner_power
-    zp = _zeta1(s2, rho, q)
-    zv = _zeta1(s2, rho, p)
-    val = zp / (1.0 + p * zp)
-    val -= (q * zv / (1.0 + q * zv)) / (s2 + s2 * p * zv + p)
+    q = ctx.partner_power
+    zp, zv = _zeta1(q), _zeta1(p)
+    val = zp / (1.0 + p * zp) + q * _dzeta_dp(GADGET_SIGMA2, zv, p) / (1.0 + q * zv)
     for qj, alpha in ctx.neighbors:
-        ze = zeta_root(s2, rho, (p, qj))[0]
-        u = 1.0 + qj * ze
-        denom = (1.0 + p * ze) * (qj + s2 * u) + p * u
-        val -= alpha * (0.7 * ze / (1.0 + 0.7 * ze)) * u / denom
+        ze = zeta_root(GADGET_SIGMA2, GADGET_RHO, (p, qj))[0]
+        dze = _dzeta_dp(GADGET_SIGMA2, ze, p, qj)
+        val += alpha * EDGE_BUDGET * dze / (1.0 + EDGE_BUDGET * ze)
     return val / _LN2

@@ -139,29 +139,33 @@ def solve_zeta(ctx: ZetaContext, tol: float = _DEFAULT_TOL, full_output: bool = 
     return x
 
 
-def dzeta_v_dp(p: float, ctx: ZetaContext) -> float:
-    """d zeta / dp for a single interferer at power p (implicit differentiation).
+def _dzeta_dp(sigma2: float, z: float, p: float, p_bar: float = 0.0) -> float:
+    """dz/dp at a known root z = zeta(p, p_bar) (implicit differentiation).
 
-    With z = zeta(p):  dz/dp = -z / (sigma2 + sigma2*p*z + p).
+    dz/dp = -z (1 + p_bar z) /
+            ((1 + p z)(p_bar + sigma2 (1 + p_bar z)) + p (1 + p_bar z));
+    p_bar = 0 is the single interferer, -z / (sigma2 + sigma2 p z + p).
+    """
+    u = 1.0 + p_bar * z
+    return -z * u / ((1.0 + p * z) * (p_bar + sigma2 * u) + p * u)
+
+
+def dzeta_v_dp(p: float, ctx: ZetaContext) -> float:
+    """d zeta / dp for a single interferer at power p.
+
     ``ctx`` supplies sigma2 and rho; its own terms are ignored.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    z, _, _ = zeta_root(ctx.sigma2, ctx.rho, (p,))
-    return -z / (ctx.sigma2 + ctx.sigma2 * p * z + p)
+    return _dzeta_dp(ctx.sigma2, zeta_root(ctx.sigma2, ctx.rho, (p,))[0], p)
 
 
 def dzeta_e_dp(p: float, p_bar: float, ctx: ZetaContext) -> float:
     """Partial derivative in the first argument for two interferers (p, p_bar).
 
-    With z = zeta(p, p_bar):
-        dz/dp = -z (1 + p_bar z) /
-                ((1 + p z)(p_bar + sigma2 (1 + p_bar z)) + p (1 + p_bar z)).
     The function is symmetric, so the p_bar-partial is dzeta_e_dp(p_bar, p, ctx).
     """
     if p < 0 or p_bar < 0:
         raise ValueError("powers must be nonnegative")
-    z, _, _ = zeta_root(ctx.sigma2, ctx.rho, (p, p_bar))
-    u = 1.0 + p_bar * z
-    denom = (1.0 + p * z) * (p_bar + ctx.sigma2 * u) + p * u
-    return -z * u / denom
+    z = zeta_root(ctx.sigma2, ctx.rho, (p, p_bar))[0]
+    return _dzeta_dp(ctx.sigma2, z, p, p_bar)

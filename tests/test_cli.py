@@ -309,6 +309,65 @@ def test_verify_certificate_3sat_roundtrip(capsys, tmp_path, cnf_file):
     assert env["report"]["max_constraint_violation"] > 1e-3
 
 
+MAXCUT_BUNDLE = {
+    "report": {"kind": "maxcut", "source": model.to_json_dict(model.read_graph_dimacs(EDGE_GRAPH))}
+}
+SAT_BUNDLE = {
+    "report": {"kind": "3sat", "source": model.to_json_dict(model.read_cnf_dimacs(CNF_TEXT))}
+}
+CUT_CERT = {"type": "PowerVector", "version": 1, "p": [1.0, 0.0, 0.0, 1.0, 0.7, 0.7]}
+NO_P = {"type": "PowerVector", "version": 1}
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (["verify-certificate", "a.json", "b.json"], {"a.json": {"kind": "maxcut"}, "b.json": CUT_CERT}),
+        (["verify-certificate", "a.json", "b.json"], {"a.json": [MAXCUT_BUNDLE], "b.json": CUT_CERT}),
+        (["verify-certificate", "a.json", "b.json"], {"a.json": MAXCUT_BUNDLE, "b.json": [CUT_CERT]}),
+        (["verify-certificate", "a.json", "b.json"], {"a.json": MAXCUT_BUNDLE, "b.json": NO_P}),
+        (["eval-outage", "inst.json", "b.json", "--rates", "0.1,0.1"], {"b.json": NO_P}),
+        (["verify", "sat-equiv", "--in", "a.json"], {"a.json": MAXCUT_BUNDLE}),
+        (["verify", "maxcut-equiv", "--in", "a.json"], {"a.json": SAT_BUNDLE}),
+    ],
+    ids=[
+        "bundle-without-source",
+        "bundle-is-list",
+        "certificate-is-list",
+        "power-vector-without-p",
+        "eval-outage-power-vector-without-p",
+        "sat-equiv-given-maxcut-bundle",
+        "maxcut-equiv-given-3sat-bundle",
+    ],
+)
+def test_malformed_json_input_exits_2(capsys, tmp_path, inst_file, argv, files):
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    paths = {"inst.json": inst_file, "a.json": str(tmp_path / "a.json"), "b.json": str(tmp_path / "b.json")}
+    rc, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        [1, 2],
+        {"kind": "maxcut"},
+        SAT_BUNDLE,
+        {"kind": "maxcut", "source": SAT_BUNDLE["report"]["source"]},
+    ],
+    ids=["list", "no-source", "3sat-bundle", "maxcut-kind-with-cnf-source"],
+)
+def test_malformed_piped_bundle_exits_2(capsys, monkeypatch, bundle):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(bundle)))
+    rc, out, err = run(capsys, "verify", "maxcut-equiv")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_certificate_rejects_foreign_bundle(capsys, tmp_path):
     bundle = tmp_path / "junk.json"
     bundle.write_text(json.dumps({"report": {"hello": 1}}))

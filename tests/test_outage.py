@@ -173,6 +173,25 @@ def test_mc_outage_chunking_invariant():
     assert count_two >= count_small  # prefix counts can only grow
 
 
+@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+def test_mc_outage_reproducible_at_chunk_boundary(n):
+    rng = np.random.default_rng(2)
+    inst = sampling.random_miso_instance(rng, 2, 2)
+    beams = sampling.random_beamformers(rng, inst)
+    assert mc_outage(inst, beams, 2.0, 0, n, seed=1) == mc_outage(inst, beams, 2.0, 0, n, seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mc_outage_one_sample_past_a_chunk_adds_zero_or_one(seed):
+    # n = 65537 is the 65536-sample run plus one sample in a second chunk
+    rng = np.random.default_rng(2)
+    inst = sampling.random_miso_instance(rng, 2, 2)
+    beams = sampling.random_beamformers(rng, inst)
+    count_full = round(mc_outage(inst, beams, 2.0, 0, 65_536, seed=seed)[0] * 65_536)
+    count_next = round(mc_outage(inst, beams, 2.0, 0, 65_537, seed=seed)[0] * 65_537)
+    assert count_next - count_full in (0, 1)
+
+
 def test_mc_outage_zero_rate():
     rng = np.random.default_rng(8)
     inst = sampling.random_miso_instance(rng, 1, 1)

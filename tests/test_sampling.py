@@ -106,3 +106,41 @@ def test_vertex_slice_determinism():
     b = random_vertex_slice(np.random.default_rng(2))
     assert a.partner_power == b.partner_power
     assert a.neighbors == b.neighbors
+
+
+def test_sampled_streams_are_frozen():
+    # exact draws of one seed per generator: a changed range or draw order shows here
+    siso = random_siso_instance(np.random.default_rng(0), K=2)
+    assert siso.Q.tolist() == [
+        [1.4132702392002723, 0.0944253498173546],
+        [0.01434073337766814, 1.5127555772777217],
+    ]
+    assert siso.sigma2.tolist() == [1.067299353343898, 1.2024462170823984]
+    assert siso.rho.tolist() == [0.8359062478663557, 0.933768105946942]
+    assert siso.P.tolist() == [1.0710974878850723, 0.5019169501191036]
+    assert siso.alpha.tolist() == [1.786106414881354, 0.5503783629581965]
+
+    miso = random_miso_instance(np.random.default_rng(0), K=2, Nt=1)
+    assert miso.Qcov.reshape(2, 2).tolist() == [
+        [0.03325978340140712, 0.017949257035852886],
+        [0.7225618442591929, 2.096534781500679],
+    ]
+    assert miso.sigma2.tolist() == [1.3158535541215322, 0.5027385001701481]
+    assert miso.rho.tolist() == [0.9143510691468923, 0.708396393826366]
+
+    # seed 36 draws 0.398 and 0.403 for two extra edges, so the 0.4 edge
+    # probability is pinned from both sides
+    graph = random_connected_graph(np.random.default_rng(36), 4)
+    assert graph.edges == (
+        (1, 2, 0.3169953769720284),
+        (1, 3, 0.48891908478640533),
+        (1, 4, 0.464573446917695),
+        (2, 3, 0.12464554317970933),
+    )
+
+    ctx = random_vertex_slice(np.random.default_rng(4))
+    assert ctx.partner_power == 0.8019012069858072
+    assert ctx.neighbors == (
+        (0.6073558319950296, 0.15724128856723113),
+        (0.37648658437727256, 0.27468902951512003),
+    )

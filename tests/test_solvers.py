@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import siso_grid_mmf, user_rate
 from outagebf import sampling
@@ -45,6 +47,23 @@ def test_rates_saturate_constraints(three_user_instance):
     rates = srm_rates_from_powers(three_user_instance, p)
     lhs = outage_lhs_all(three_user_instance, p, rates)
     assert np.allclose(lhs, 1.0, atol=1e-11)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    share=st.lists(st.just(0.0) | st.floats(1e-300, 1.0), min_size=6, max_size=6),
+)
+def test_rates_make_every_active_constraint_tight(seed, K, share):
+    # silent users (share 0) included; subnormal powers are left out, since a
+    # subnormal rate cannot carry 1e-11 relative precision
+    inst = sampling.random_siso_instance(np.random.default_rng(seed), K)
+    p = np.array(share[:K]) * inst.P
+    rates = srm_rates_from_powers(inst, p)
+    lhs = outage_lhs_all(inst, p, rates)
+    active = p > 0
+    assert np.all(np.abs(lhs[active] - 1.0) <= 1e-11)
 
 
 def test_min_power_response_inverts_constraint(two_user_instance):

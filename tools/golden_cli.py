@@ -5,9 +5,9 @@ Usage: python tools/golden_cli.py
 Writes seeded inputs (drawn with ``outagebf.sampling``) into a temporary
 directory and runs each invocation there as ``python -m outagebf.cli`` against
 the ``src/`` tree next to this script.  Paths are relative because reports
-echo their input paths.  Prints one ``sha256  argv`` line per invocation, so
-two checkouts print identical text exactly when their CLI output is
-byte-identical.  The numbers compared are last-bit sensitive, which is why
+echo their input paths.  Prints one ``sha256  exit=N  argv`` line per
+invocation, so two checkouts print identical text exactly when their CLI
+output and exit codes are identical.  The numbers compared are last-bit sensitive, which is why
 this is a manual refactoring check and not part of the test suite.
 """
 
@@ -87,15 +87,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
         for argv in INVOCATIONS:
-            out = subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, "-m", "outagebf.cli", *argv],
                 cwd=tmp,
                 env=env,
                 stdin=subprocess.DEVNULL,
                 capture_output=True,
                 check=False,
-            ).stdout
-            print(f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)}")
+            )
+            digest = hashlib.sha256(proc.stdout).hexdigest()
+            print(f"{digest}  exit={proc.returncode}  {' '.join(argv)}")
     return 0
 
 
