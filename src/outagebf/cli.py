@@ -286,8 +286,9 @@ def _load_reduction(bundle: dict, kinds=("maxcut", "3sat")):
     return reduce_maxcut(source) if kind == "maxcut" else reduce_3sat(source)
 
 
-def _identity_gap(gadget, S, p):
-    """Weighted sum rate at powers p, the cut identity's value for S, their gap."""
+def _identity_gap(gadget, S):
+    """Weighted sum rate at the power pattern of cut S, the identity's value, their gap."""
+    p = powers_from_cut(S, gadget)
     direct = float(gadget.instance.alpha @ srm_rates_from_powers(gadget.instance, p))
     predicted = srm_value_identity(gadget.graph, S, gadget)
     return direct, predicted, abs(direct - predicted)
@@ -308,7 +309,9 @@ def cmd_verify_certificate(args, t0):
                 args, "verify-certificate", inputs,
                 {"kind": "maxcut", "error": str(e)}, "fail", t0,
             )
-        direct, predicted, gap = _identity_gap(gadget, S, p)
+        # scored at the decoded pattern: the decoder accepts powers within
+        # 1e-6 of it, far outside the identity's 1e-9
+        direct, predicted, gap = _identity_gap(gadget, S)
         report = {
             "kind": "maxcut",
             "cut": list(S),
@@ -447,7 +450,7 @@ def _verify_maxcut_equiv(args, bundle=None):
         ok &= graph.cut_weight(S_rec) == w_opt
         for mask in range(1 << graph.V):
             S = [v for v in range(1, graph.V + 1) if (mask >> (v - 1)) & 1]
-            gap = _identity_gap(gadget, S, powers_from_cut(S, gadget))[2]
+            gap = _identity_gap(gadget, S)[2]
             worst_gap = max(worst_gap, gap)
         ok &= worst_gap <= _IDENTITY_TOL
     detail = {"instances": len(gadgets), "worst_identity_gap": worst_gap}

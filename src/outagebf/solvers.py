@@ -11,6 +11,18 @@ function.  Iterating it from p = 0 yields monotone nondecreasing iterates that
 converge to the minimal feasible point whenever one exists, which gives a
 polynomial-time feasibility test and, via bisection on the common rate, the
 max-min-fair solution.
+
+Each Jacobi sweep solves the zeta of every targeted user in one
+``zeta.zeta_roots`` call on the cross-gain columns Q_ki p_k (built once per
+test), warm-started from the previous sweep's zetas: any start is valid for
+that kernel.  The bisections (``mmf_bisection``, ``outage_balancing_siso``)
+start each midpoint from the last feasible witness instead of p = 0.  By
+Yates (IEEE JSAC 1995) iterating a standard interference function converges
+to its fixed point from any start, and monotonically from a start below it.
+A feasible witness sits below the fixed point of every harder midpoint (the
+response grows with the rate and with rho), so the iterates still climb and
+the verdict is the cold one; the public ``feasibility_fixed_point`` keeps the
+cold start from p = 0.
 """
 
 from __future__ import annotations
@@ -19,13 +31,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import SisoInstance, validate
 from .outage import LHS_SLACK, POWER_SLACK, outage_lhs_all
 from .reductions import EDGE_BUDGET, GADGET_RHO, GADGET_SIGMA2
-from .zeta import _dzeta_dp, zeta_root
+from .zeta import _dzeta_dp, zeta_root, zeta_roots
 
 __all__ = [
     "srm_rates_from_powers",
@@ -54,16 +67,34 @@ def _check(instance: SisoInstance) -> None:
         raise ValueError("invalid instance: " + "; ".join(rep.violations))
 
 
-def _zeta_for_user(instance: SisoInstance, p, i: int) -> float:
-    """zeta_i at the interference Q_ki p_k the other users cause at receiver i."""
-    terms = (instance.Q[:, i] * p).tolist()
-    del terms[i]
-    return zeta_root(float(instance.sigma2[i]), float(instance.rho[i]), terms)[0]
+class _Lanes(NamedTuple):
+    """Receivers ``users`` of an instance as zeta lanes, built once per call."""
+
+    sigma2: np.ndarray
+    rho: np.ndarray
+    direct: np.ndarray  # Q_ii
+    cross: np.ndarray  # Q[:, users] with each user's own link zeroed
 
 
-def _response(instance: SisoInstance, p, i: int, c_i: float) -> float:
-    """Minimal own power c_i / (Q_ii zeta_i) meeting SINR threshold c_i = 2^R - 1."""
-    return c_i / (float(instance.Q[i, i]) * _zeta_for_user(instance, p, i))
+def _lanes(instance: SisoInstance, users) -> _Lanes:
+    users = np.asarray(users, dtype=np.intp)
+    cross = instance.Q[:, users]
+    cross[users, np.arange(users.size)] = 0.0
+    return _Lanes(instance.sigma2[users], instance.rho[users], instance.Q[users, users], cross)
+
+
+def _zetas(lanes: _Lanes, p: np.ndarray, z0=None) -> np.ndarray:
+    """zeta_i of every lane at the interference Q_ki p_k the other users cause."""
+    return zeta_roots(lanes.sigma2, lanes.rho, lanes.cross * p[:, None], z0)
+
+
+def _response(lanes: _Lanes, c, p: np.ndarray, z0=None):
+    """Minimal own powers c_i / (Q_ii zeta_i) meeting SINR thresholds c_i = 2^R_i - 1.
+
+    Returns the powers and the zetas, which warm-start the next sweep.
+    """
+    z = _zetas(lanes, p, z0)
+    return c / (lanes.direct * z), z
 
 
 def srm_rates_from_powers(instance: SisoInstance, p) -> np.ndarray:
@@ -77,10 +108,9 @@ def srm_rates_from_powers(instance: SisoInstance, p) -> np.ndarray:
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative")
     R = np.zeros(instance.K)
-    for i in range(instance.K):
-        if p[i] > 0:
-            z = _zeta_for_user(instance, p, i)
-            R[i] = math.log1p(z * instance.Q[i, i] * p[i]) / _LN2
+    on = np.flatnonzero(p > 0)
+    lanes = _lanes(instance, on)
+    R[on] = np.log1p(_zetas(lanes, p) * lanes.direct * p[on]) / _LN2
     return R
 
 
@@ -96,7 +126,8 @@ def min_power_response(instance: SisoInstance, i: int, p_others, R_target: float
     if R_target == 0.0:
         return 0.0
     c = math.expm1(R_target * _LN2)
-    return _response(instance, np.asarray(p_others, dtype=np.float64), i, c)
+    p = np.asarray(p_others, dtype=np.float64)
+    return float(_response(_lanes(instance, [i]), c, p)[0][0])
 
 
 @dataclass
@@ -105,13 +136,18 @@ class FeasibilityResult:
 
     ``residual`` is the worst constraint violation max_i max(0, LHS_i - 1) at
     the returned point; for an infeasible verdict ``p`` is the last iterate,
-    kept as a diagnostic.
+    kept as a diagnostic.  ``reason`` says why the sweeps stopped:
+    "converged" (the only feasible outcome), "over_budget" (a response
+    exceeded its power budget), "sweep_cap" (no fixed point within the sweep
+    cap, so no verdict) or "residual" (converged, but the witness fails the
+    closed-form recheck).
     """
 
     status: str  # "feasible" | "infeasible"
     p: np.ndarray
     iterations: int
     residual: float
+    reason: str
     trace: tuple | None = None
 
     @property
@@ -119,53 +155,57 @@ class FeasibilityResult:
         return self.status == "feasible"
 
 
-def _feasible_at_targets(
-    instance: SisoInstance, targets, keep_trace: bool = False
-) -> FeasibilityResult:
-    """Fixed point of the minimal-power response at per-user rate targets."""
-    K = instance.K
-    P = instance.P
-    c = [math.expm1(t * _LN2) for t in targets]
-    p = [0.0] * K
-    trace = [tuple(p)] if keep_trace else None
-    exceeded = False
-    converged = False
+def _feasible_at_targets(instance: SisoInstance, targets, start=None, keep_trace: bool = False):
+    """Fixed point of the minimal-power response at per-user rate targets.
+
+    Jacobi sweeps from p = 0, or from ``start = (p, zetas)`` of an earlier
+    test with the same users targeted.  Each sweep solves the zeta of every
+    user with a positive target in one zeta_roots call, warm-started from the
+    previous sweep's zetas.  Returns the result and the last sweep's zetas.
+    """
+    budget = instance.P + POWER_SLACK
+    c = np.array([math.expm1(t * _LN2) for t in targets])
+    on = np.flatnonzero(c)
+    lanes, c = _lanes(instance, on), c[on]
+    p, z = (np.zeros(instance.K), None) if start is None else start
+    trace = [tuple(p.tolist())] if keep_trace else None
+    reason = "sweep_cap"
     it = 0
     for it in range(1, _SWEEP_CAP + 1):
-        p_new = [0.0] * K
-        for i in range(K):
-            if c[i] == 0.0:
-                continue
-            pi = _response(instance, p, i, c[i])
-            p_new[i] = pi
-            if pi > P[i] + POWER_SLACK:
-                exceeded = True
+        p_new = np.zeros(instance.K)
+        p_new[on], z = _response(lanes, c, p, z)
         if keep_trace:
-            trace.append(tuple(p_new))
-        if exceeded:
-            p = p_new
-            break
-        if max(abs(a - b) for a, b in zip(p_new, p)) <= _SWEEP_TOL:
-            p = p_new
-            converged = True
-            break
+            trace.append(tuple(p_new.tolist()))
+        step = float(abs(p_new - p).max())
         p = p_new
-    p_arr = np.array(p)
-    lhs = outage_lhs_all(instance, p_arr, np.where(p_arr > 0, targets, 0.0))
+        if np.count_nonzero(p > budget):
+            reason = "over_budget"
+            break
+        if step <= _SWEEP_TOL:
+            reason = "converged"
+            break
+    lhs = outage_lhs_all(instance, p, np.where(p > 0, targets, 0.0))
     residual = max(0.0, float(np.max(lhs)) - 1.0)
-    ok = (
-        converged
-        and not exceeded
-        and residual <= LHS_SLACK
-        and bool(np.all(p_arr <= P + POWER_SLACK))
-    )
-    return FeasibilityResult(
-        status="feasible" if ok else "infeasible",
-        p=p_arr,
+    if reason == "converged" and not (
+        residual <= LHS_SLACK and bool(np.all(p <= budget))
+    ):
+        reason = "residual"
+    result = FeasibilityResult(
+        status="feasible" if reason == "converged" else "infeasible",
+        p=p,
         iterations=it,
         residual=residual,
+        reason=reason,
         trace=tuple(trace) if keep_trace else None,
     )
+    return result, z
+
+
+def _verdict(res: FeasibilityResult, what: str) -> bool:
+    """The verdict of one bisection step; a sweep-capped test has none."""
+    if res.reason == "sweep_cap":
+        raise ArithmeticError(f"{what}: no fixed point within {_SWEEP_CAP} sweeps")
+    return res.feasible
 
 
 def feasibility_fixed_point(
@@ -177,13 +217,14 @@ def feasibility_fixed_point(
     response from p = 0 (Jacobi sweeps, sup-norm tolerance 1e-12, at most
     10,000 sweeps, early exit once a response exceeds its budget).  The final
     verdict re-checks the witness against the closed-form constraints
-    (LHS <= 1 + 1e-9, p <= P + 1e-12).
+    (LHS <= 1 + 1e-9, p <= P + 1e-12); ``reason`` on the result says why the
+    sweeps stopped.
     """
     _check(instance)
     if R_bar < 0:
         raise ValueError("R_bar must be nonnegative")
     targets = instance.alpha * R_bar
-    return _feasible_at_targets(instance, targets, keep_trace=keep_trace)
+    return _feasible_at_targets(instance, targets, keep_trace=keep_trace)[0]
 
 
 def mmf_upper_bound(instance: SisoInstance) -> float:
@@ -230,24 +271,27 @@ def mmf_bisection(instance: SisoInstance, delta: float) -> MmfSolution:
     Brackets [0, mmf_upper_bound] and halves until the bracket is narrower
     than delta; the returned rate is the last feasible lower end with its
     fixed-point witness.  The iteration count equals ceil(log2(upper/delta))
-    whenever upper/delta is not an exact power of two.
+    whenever upper/delta is not an exact power of two.  Each midpoint starts
+    from the last feasible witness; a test cut off by the sweep cap raises
+    ArithmeticError instead of counting as infeasible.
     """
     _check(instance)
     if not delta > 0:
         raise ValueError("delta must be positive")
     hi = mmf_upper_bound(instance)
     lo = 0.0
-    best_p = np.zeros(instance.K)
+    best_p, start = np.zeros(instance.K), None
     trace = [(lo, hi)]
     tested = []
     it = 0
     while hi - lo >= delta:
         mid = 0.5 * (lo + hi)
-        res = _feasible_at_targets(instance, instance.alpha * mid)
-        tested.append((mid, res.feasible))
-        if res.feasible:
+        res, z = _feasible_at_targets(instance, instance.alpha * mid, start)
+        ok = _verdict(res, f"feasibility test at R = {mid!r}")
+        tested.append((mid, ok))
+        if ok:
             lo = mid
-            best_p = res.p
+            best_p, start = res.p, (res.p, z)
         else:
             hi = mid
         it += 1
@@ -299,7 +343,8 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
     Bisects the shared rho over (0, 1): the constraint LHS scales linearly in
     rho, so feasibility at fixed targets is monotone decreasing in rho.
     Returns (rho_star, witness powers); raises if even the smallest tested
-    rho is infeasible ("targets unachievable").
+    rho is infeasible ("targets unachievable").  Midpoints start from the
+    last feasible witness, and a sweep-capped test raises ArithmeticError.
     """
     _check(instance)
     if not tol > 0:
@@ -310,14 +355,14 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
     if np.any(R_targets < 0):
         raise ValueError("rate targets must be nonnegative")
     lo, hi = 0.0, 1.0
-    best = None
+    best = start = None
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
         inst_mid = dataclasses.replace(instance, rho=np.full(instance.K, mid))
-        res = _feasible_at_targets(inst_mid, R_targets)
-        if res.feasible:
+        res, z = _feasible_at_targets(inst_mid, R_targets, start)
+        if _verdict(res, f"feasibility test at rho = {mid!r}"):
             lo = mid
-            best = res.p
+            best, start = res.p, (res.p, z)
         else:
             hi = mid
     if best is None:

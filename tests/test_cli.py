@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from outagebf import model
+from outagebf import model, solvers
 from outagebf.cli import main
 from outagebf.reductions import (
     beamformers_from_assignment,
@@ -229,6 +229,15 @@ def test_solve_mmf_rejects_invalid_instance(capsys, tmp_path, two_user_instance)
     assert err.startswith("error: invalid instance: P[0] = -1 must be > 0")
 
 
+def test_solve_mmf_sweep_cap_exits_2(capsys, inst_file, monkeypatch):
+    # a feasibility test cut off by the sweep cap has no verdict to bisect on
+    monkeypatch.setattr(solvers, "_SWEEP_CAP", 2)
+    rc, out, err = run(capsys, "solve-mmf-siso", inst_file)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "no fixed point within 2 sweeps" in err
+
+
 # -- reductions and certificates --------------------------------------------
 
 def test_reduce_maxcut_bundle_shape(capsys, graph_file):
@@ -285,6 +294,19 @@ def test_verify_certificate_maxcut_rejects_non_pattern(capsys, tmp_path, graph_f
     assert rc == 1
     assert env["verdict"] == "fail"
     assert "error" in env["report"]
+
+
+def test_verify_certificate_maxcut_scores_decoded_pattern(capsys, tmp_path, graph_file):
+    # 1e-7 off the pattern of cut [2]: inside the decoder's 1e-6, far outside
+    # the identity's 1e-9 had the supplied powers been scored
+    bundle = tmp_path / "bundle.json"
+    run(capsys, "reduce-maxcut", graph_file, "--out", str(bundle))
+    cert = power_file(tmp_path, [0.9999999, 0.0, 0.0, 1.0, 0.7, 0.7], "near.json")
+    rc, env, _ = run_json(capsys, "verify-certificate", str(bundle), cert)
+    assert rc == 0
+    assert env["verdict"] == "pass"
+    assert env["report"]["cut"] == [2]
+    assert env["report"]["identity_gap"] <= 1e-9
 
 
 def test_verify_certificate_3sat_roundtrip(capsys, tmp_path, cnf_file):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import siso_grid_mmf, user_rate
-from outagebf import sampling
+from outagebf import sampling, solvers
 from outagebf.model import SisoInstance
 from outagebf.outage import outage_lhs_all, outage_lhs_siso
 from outagebf.solvers import (
@@ -281,3 +281,49 @@ def test_random_instances_keep_bisection_inside_box():
         assert 0.0 <= sol.R <= mmf_upper_bound(inst)
         assert np.all(sol.p >= 0.0)
         assert np.all(sol.p <= inst.P + 1e-12)
+
+
+@pytest.mark.parametrize("K, seeds", [(8, range(4)), (32, range(1))])
+def test_warm_started_bisection_keeps_every_cold_verdict(K, seeds):
+    # each midpoint starts from the last feasible witness; the cold test from
+    # p = 0 must reach the same verdict at every midpoint
+    for seed in seeds:
+        inst = sampling.random_siso_instance(np.random.default_rng(seed), K)
+        sol = mmf_bisection(inst, 1e-5)
+        for mid, ok in sol.tested:
+            assert feasibility_fixed_point(inst, mid).feasible == ok, (K, seed, mid)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6), frac=st.floats(0.0, 1.0))
+def test_cold_iterates_never_decrease_and_witness_is_feasible(seed, K, frac):
+    inst = sampling.random_siso_instance(np.random.default_rng(seed), K)
+    R_bar = frac * mmf_upper_bound(inst)
+    res = feasibility_fixed_point(inst, R_bar, keep_trace=True)
+    tr = np.array(res.trace)
+    assert tr[0].tolist() == [0.0] * K
+    assert np.all(np.diff(tr, axis=0) >= 0.0)
+    assert res.reason in ("converged", "over_budget")
+    if res.feasible:
+        lhs = outage_lhs_all(inst, res.p, inst.alpha * R_bar)
+        assert np.all(lhs <= 1.0 + 1e-9)
+        assert np.all(res.p <= inst.P + 1e-12)
+
+
+def test_feasibility_reason(two_user_instance, monkeypatch):
+    assert feasibility_fixed_point(two_user_instance, 0.2).reason == "converged"
+    assert feasibility_fixed_point(two_user_instance, 5.0).reason == "over_budget"
+    # a recheck no witness can pass: converged, but infeasible
+    monkeypatch.setattr(solvers, "LHS_SLACK", -1.0)
+    res = feasibility_fixed_point(two_user_instance, 0.2)
+    assert (res.reason, res.status) == ("residual", "infeasible")
+
+
+def test_sweep_cap_is_no_verdict(two_user_instance, monkeypatch):
+    monkeypatch.setattr(solvers, "_SWEEP_CAP", 2)
+    res = feasibility_fixed_point(two_user_instance, 0.2)
+    assert (res.reason, res.status, res.iterations) == ("sweep_cap", "infeasible", 2)
+    with pytest.raises(ArithmeticError, match="no fixed point within 2 sweeps"):
+        mmf_bisection(two_user_instance, 1e-5)
+    with pytest.raises(ArithmeticError, match="no fixed point within 2 sweeps"):
+        outage_balancing_siso(two_user_instance, [0.1, 0.1])

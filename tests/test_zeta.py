@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import zeta_bisect
+from outagebf import zeta
 from outagebf.zeta import (
     ZetaContext,
     dzeta_e_dp,
     dzeta_v_dp,
     psi,
     solve_zeta,
+    zeta_root,
+    zeta_roots,
     zeta_upper_bound,
 )
 
@@ -213,3 +217,76 @@ def test_root_at_parameter_extremes(sigma2, rho):
         z, _, its = solve_zeta(ctx, full_output=True)
         assert math.isfinite(z) and its < 200, (terms, z, its)
         assert _brackets_root(z, ctx, 1e-12), terms
+
+
+def _random_lanes(seed, m, n):
+    """Per-lane sigma2 and rho, and an (m, n) term matrix with zeros and empty lanes."""
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(0.0, 3.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.7)
+    T[:, rng.uniform(size=n) < 0.2] = 0.0
+    return rng.uniform(0.05, 3.0, n), rng.uniform(0.4, 0.995, n), T
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 9), n=st.integers(1, 40))
+def test_lanes_match_scalar_kernel(seed, m, n):
+    sigma2, rho, T = _random_lanes(seed, m, n)
+    z = zeta_roots(sigma2, rho, T)
+    for j in range(n):
+        ref = zeta_root(float(sigma2[j]), float(rho[j]), T[:, j].tolist())[0]
+        assert abs(z[j] - ref) <= 2e-15 * ref, (j, z[j], ref)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), n=st.integers(1, 40))
+def test_warm_start_reaches_the_same_root(seed, m, n):
+    sigma2, rho, T = _random_lanes(seed, m, n)
+    z = zeta_roots(sigma2, rho, T)
+    for scale in (0.0, 0.5, 1.0, 2.0, 1e3):
+        warm = zeta_roots(sigma2, rho, T, x0=scale * z)
+        assert np.all(np.abs(warm - z) <= 1e-12 * z), scale
+
+
+def test_empty_lanes_are_the_closed_form():
+    sigma2 = np.array([0.3, 1e-6, 2.0, 1e6])
+    rho = np.array([0.8, 1e-300, 0.999, 0.5])
+    T = np.zeros((3, 4))
+    z = zeta_roots(sigma2, rho, T, x0=np.ones(4))
+    assert z.tolist() == [-math.log(r) / s for s, r in zip(sigma2.tolist(), rho.tolist())]
+    assert zeta_roots(0.1, 0.95, np.zeros((0, 2))).tolist() == [zeta_root(0.1, 0.95, ())[0]] * 2
+
+
+@pytest.mark.parametrize("sigma2", [1e-12, 1e-6, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("rho", [1e-300, 1e-12, 0.5, 0.9999, 1.0 - 1e-12])
+def test_lanes_at_parameter_extremes(sigma2, rho):
+    # one lane per term set of the scalar extremes test, no overflow warnings
+    m = max(len(t) for t in EXTREME_TERMS)
+    T = np.zeros((m, len(EXTREME_TERMS)))
+    for j, terms in enumerate(EXTREME_TERMS):
+        T[: len(terms), j] = terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = zeta_roots(sigma2, rho, T)
+        warm = zeta_roots(sigma2, rho, T, x0=1e3 * z)
+    for j, terms in enumerate(EXTREME_TERMS):
+        ctx = ZetaContext(sigma2, rho, terms)
+        assert _brackets_root(z[j], ctx, 1e-12), terms
+        assert _brackets_root(warm[j], ctx, 1e-12), terms
+
+
+def test_lanes_raise_on_non_finite_root():
+    with pytest.raises(ArithmeticError, match="lane 1"):
+        zeta_roots(1e-310, 1e-300, np.array([[1.0, 0.0]]))
+    with pytest.raises(ArithmeticError, match="lane 0"):
+        zeta_roots(1e-310, 1e-300, np.array([[1e-100]]))
+
+
+def test_step_cap_raises_in_both_kernels(monkeypatch):
+    # rho = 1e-300 takes 136 steps from 0; a cap of 20 cuts it off
+    sigma2, rho, terms = 1e-300, 1e-300, (1.0,)
+    assert zeta_root(sigma2, rho, terms)[2] > 20
+    monkeypatch.setattr(zeta, "_MAX_STEPS", 20)
+    with pytest.raises(ArithmeticError, match="no convergence in 20"):
+        zeta_root(sigma2, rho, terms)
+    with pytest.raises(ArithmeticError, match="no convergence in 20"):
+        zeta_roots(sigma2, rho, np.array([terms, (0.5,)]).T)

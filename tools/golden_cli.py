@@ -1,21 +1,32 @@
-"""Hash the stdout of a fixed set of CLI invocations.
+"""Check that CLI output stays the same across a change.
 
-Usage: python tools/golden_cli.py
+Usage: python tools/golden_cli.py [--against OTHER/src]
 
 Writes seeded inputs (drawn with ``outagebf.sampling``) into a temporary
 directory and runs each invocation there as ``python -m outagebf.cli`` against
 the ``src/`` tree next to this script.  Paths are relative because reports
-echo their input paths.  Prints one ``sha256  exit=N  argv`` line per
+echo their input paths.
+
+Without ``--against`` it prints one ``sha256  exit=N  argv`` line per
 invocation, so two checkouts print identical text exactly when their CLI
-output and exit codes are identical.  The numbers compared are last-bit sensitive, which is why
-this is a manual refactoring check and not part of the test suite.
+output and exit codes are identical.  The hashes are last-bit sensitive, so
+they cannot tell a rounding change from a real one.  With ``--against`` it
+runs every invocation under both trees, on identical inputs in separate
+directories, and prints per invocation whether the exit codes match, whether
+every non-float field of the JSON output matches (keys, lengths, strings,
+integers, booleans, verdicts), and the largest relative difference between
+float fields; it exits 1 when an exit code or a non-float field differs.
+This is a manual refactoring check and not part of the test suite.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -81,23 +92,79 @@ def write_inputs(d: Path) -> None:
     (d / "assignment.json").write_text(model.dumps(beams))
 
 
-def main() -> int:
+def run_all(src: Path, cwd: Path) -> list:
+    """(exit code, stdout bytes) of every invocation, run against ``src``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    results = []
+    for argv in INVOCATIONS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "outagebf.cli", *argv],
+            cwd=cwd,
+            env=env,
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            check=False,
+        )
+        results.append((proc.returncode, proc.stdout))
+    return results
+
+
+def compare(a, b, path="$"):
+    """(first non-float difference or None, largest relative float difference)."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return None, 0.0
+        return None, abs(a - b) / max(abs(a), abs(b))
+    if type(a) is not type(b):
+        return path, 0.0
+    if isinstance(a, dict):
+        if list(a) != list(b):
+            return path + " keys", 0.0
+        pairs = [(a[k], b[k], f"{path}.{k}") for k in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return path + " length", 0.0
+        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        return (None if a == b else path), 0.0
+    first, worst = None, 0.0
+    for x, y, p in pairs:
+        diff, rel = compare(x, y, p)
+        first = first or diff
+        worst = max(worst, rel)
+    return first, worst
+
+
+def parse(stdout: bytes):
+    try:
+        return json.loads(stdout)
+    except ValueError:
+        return stdout.decode(errors="replace")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", type=Path, help="the src/ directory of another checkout")
+    args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        write_inputs(Path(tmp))
-        for argv in INVOCATIONS:
-            proc = subprocess.run(
-                [sys.executable, "-m", "outagebf.cli", *argv],
-                cwd=tmp,
-                env=env,
-                stdin=subprocess.DEVNULL,
-                capture_output=True,
-                check=False,
-            )
-            digest = hashlib.sha256(proc.stdout).hexdigest()
-            print(f"{digest}  exit={proc.returncode}  {' '.join(argv)}")
-    return 0
+        here, there = Path(tmp, "here"), Path(tmp, "there")
+        here.mkdir()
+        write_inputs(here)
+        if args.against is None:
+            for argv, (rc, out) in zip(INVOCATIONS, run_all(SRC, here)):
+                print(f"{hashlib.sha256(out).hexdigest()}  exit={rc}  {' '.join(argv)}")
+            return 0
+        shutil.copytree(here, there)
+        ok = True
+        mine, theirs = run_all(SRC, here), run_all(args.against.resolve(), there)
+        for argv, (rc_a, out_a), (rc_b, out_b) in zip(INVOCATIONS, mine, theirs):
+            diff, worst = compare(parse(out_a), parse(out_b))
+            exits = "exit same" if rc_a == rc_b else f"exit {rc_a} vs {rc_b}"
+            fields = "fields same" if diff is None else f"fields differ at {diff}"
+            ok &= rc_a == rc_b and diff is None
+            print(f"{exits:<14} {fields:<30} max_rel_float={worst:.2g}  {' '.join(argv)}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
