@@ -190,15 +190,14 @@ def _feasible_at_targets(instance: SisoInstance, targets, start=None, keep_trace
         residual <= LHS_SLACK and bool(np.all(p <= budget))
     ):
         reason = "residual"
-    result = FeasibilityResult(
+    return FeasibilityResult(
         status="feasible" if reason == "converged" else "infeasible",
         p=p,
         iterations=it,
         residual=residual,
         reason=reason,
         trace=tuple(trace) if keep_trace else None,
-    )
-    return result, z
+    ), z
 
 
 def _verdict(res: FeasibilityResult, what: str) -> bool:
@@ -355,19 +354,19 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
     if np.any(R_targets < 0):
         raise ValueError("rate targets must be nonnegative")
     lo, hi = 0.0, 1.0
-    best = start = None
+    start = None  # (witness, zetas) of the last feasible midpoint
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
         inst_mid = dataclasses.replace(instance, rho=np.full(instance.K, mid))
         res, z = _feasible_at_targets(inst_mid, R_targets, start)
         if _verdict(res, f"feasibility test at rho = {mid!r}"):
             lo = mid
-            best, start = res.p, (res.p, z)
+            start = (res.p, z)
         else:
             hi = mid
-    if best is None:
+    if start is None:
         raise ValueError("targets unachievable")
-    return lo, best
+    return lo, start[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ serves the Jacobi sweeps of the power-control fixed point, the rate profile
 ``zeta_root`` solves one receiver in plain Python floats and serves every
 caller that needs a single root (``solve_zeta``, the derivatives, the vertex
 slice, ``reduce_maxcut`` and the CLI ``zeta`` command).  Both stay because a
-one-lane numpy call costs about 83 us against 9 us for the scalar loop:
-routing every root through the lanes kernel took the derivative sign-pattern
-test from 1.3 s to 11.9 s and the whole test suite from 29 s to 36-42 s.
+one-lane numpy call costs about 110 us against 10 us for the scalar loop (on
+a 2-vCPU VM): routing every root through the lanes kernel took the derivative
+sign-pattern acceptance test from 1.9 s to 15.3 s and the whole test suite
+from 30 s to 48 s.
 """
 
 from __future__ import annotations

@@ -294,7 +294,7 @@ def test_warm_started_bisection_keeps_every_cold_verdict(K, seeds):
             assert feasibility_fixed_point(inst, mid).feasible == ok, (K, seed, mid)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6), frac=st.floats(0.0, 1.0))
 def test_cold_iterates_never_decrease_and_witness_is_feasible(seed, K, frac):
     inst = sampling.random_siso_instance(np.random.default_rng(seed), K)

@@ -227,7 +227,7 @@ def _random_lanes(seed, m, n):
     return rng.uniform(0.05, 3.0, n), rng.uniform(0.4, 0.995, n), T
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 9), n=st.integers(1, 40))
 def test_lanes_match_scalar_kernel(seed, m, n):
     sigma2, rho, T = _random_lanes(seed, m, n)
@@ -237,7 +237,7 @@ def test_lanes_match_scalar_kernel(seed, m, n):
         assert abs(z[j] - ref) <= 2e-15 * ref, (j, z[j], ref)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), n=st.integers(1, 40))
 def test_warm_start_reaches_the_same_root(seed, m, n):
     sigma2, rho, T = _random_lanes(seed, m, n)
@@ -248,10 +248,11 @@ def test_warm_start_reaches_the_same_root(seed, m, n):
 
 
 def test_empty_lanes_are_the_closed_form():
-    sigma2 = np.array([0.3, 1e-6, 2.0, 1e6])
-    rho = np.array([0.8, 1e-300, 0.999, 0.5])
-    T = np.zeros((3, 4))
-    z = zeta_roots(sigma2, rho, T, x0=np.ones(4))
+    # the last rho is one where a SIMD np.log can differ from math.log
+    sigma2 = np.array([0.3, 1e-6, 2.0, 1e6, 1.0])
+    rho = np.array([0.8, 1e-300, 0.999, 0.5, 0.973150378946863])
+    T = np.zeros((3, 5))
+    z = zeta_roots(sigma2, rho, T, x0=np.ones(5))
     assert z.tolist() == [-math.log(r) / s for s, r in zip(sigma2.tolist(), rho.tolist())]
     assert zeta_roots(0.1, 0.95, np.zeros((0, 2))).tolist() == [zeta_root(0.1, 0.95, ())[0]] * 2
 
