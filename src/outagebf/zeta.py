@@ -22,7 +22,8 @@ bracket.
 Two kernels run that iteration.  ``zeta_roots`` solves many receivers at
 once, one lane per column of a term matrix, and may be warm-started: it
 serves the Jacobi sweeps of the power-control fixed point, the rate profile
-``srm_rates_from_powers`` and the lattice tables of the gadget scan.
+``srm_rates_from_powers`` and the lattice tables of the gadget scan (with at
+most four lanes it loops over the scalar kernel instead).
 ``zeta_root`` solves one receiver in plain Python floats and serves every
 caller that needs a single root (``solve_zeta``, the derivatives, the vertex
 slice, ``reduce_maxcut`` and the CLI ``zeta`` command).  Both stay because a
@@ -52,6 +53,7 @@ __all__ = [
 
 _DEFAULT_TOL = 1e-12
 _MAX_STEPS = 200
+_LOOP_LANES = 4  # up to this many lanes, zeta_roots loops over zeta_root
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,16 @@ def zeta_roots(sigma2, rho, T, x0=None) -> np.ndarray:
     log(psi(x0)) <= 0, x0 is at or below the root and Newton climbs from it;
     elsewhere one Newton step, clamped at 0, lands at or below the root,
     because a concave function lies under its tangent at x0.
+
+    With at most four lanes the call loops over :func:`zeta_root` from x = 0
+    instead, ignoring ``x0``: there the per-call cost of the numpy ops
+    dominates (one warm call 37-40 us for 2-5 lanes of an MMF sweep, against
+    10, 17, 24 and 34 us for a cold loop over 2, 3, 4 and 5 lanes), and the
+    loop's roots are zeta_root's bit for bit.
     """
     T = np.asarray(T, dtype=np.float64)
+    if T.shape[1] <= _LOOP_LANES:
+        return np.array([zeta_root(s, r, t)[0] for s, r, t in _lane_args(sigma2, rho, T)])
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     # math.log, not np.log: the closed form must equal zeta_root's bit for bit
     if np.ndim(rho) == 0:
@@ -205,6 +215,17 @@ def zeta_roots(sigma2, rho, T, x0=None) -> np.ndarray:
             f"zeta: root {float(x[j])!r} of lane {j} is not a positive finite float"
         )
     return x
+
+
+def _lane_args(sigma2, rho, T):
+    """(sigma2, rho, terms) of every lane as Python floats, for the scalar kernel."""
+    n = T.shape[1]
+    sigma2, rho = np.asarray(sigma2).tolist(), np.asarray(rho).tolist()
+    if not isinstance(sigma2, list):
+        sigma2 = [sigma2] * n
+    if not isinstance(rho, list):
+        rho = [rho] * n
+    return zip(sigma2, rho, T.T.tolist())
 
 
 def solve_zeta(ctx: ZetaContext, tol: float = _DEFAULT_TOL, full_output: bool = False):
