@@ -191,9 +191,9 @@ def gadget_grid_objective(gadget: MaxCutGadget, step: float):
             raise ValueError(f"step {step} does not divide the power range {span}")
     vaxis = step * np.arange(round(1.0 / step) + 1)
     zv = zeta_roots(GADGET_SIGMA2, GADGET_RHO, vaxis[None, :])
-    a, b = np.triu_indices(len(vaxis))
+    ia, ib = np.triu_indices(len(vaxis))
     ze = np.empty((len(vaxis), len(vaxis)))
-    ze[a, b] = ze[b, a] = zeta_roots(GADGET_SIGMA2, GADGET_RHO, np.stack([vaxis[a], vaxis[b]]))
+    ze[ia, ib] = ze[ib, ia] = zeta_roots(GADGET_SIGMA2, GADGET_RHO, np.stack([vaxis[ia], vaxis[ib]]))
 
     vertex_cols = [
         (um.vertex(i, a), um.vertex(i, 1 - a)) for i in range(1, V + 1) for a in (0, 1)
