@@ -157,17 +157,39 @@ def grid_search(objective, grid: GridSpec, batch_size: int = 1 << 18):
     total = math.prod(shape)
     if total > _GRID_LIMIT:
         raise ValueError(f"grid has {total} points, limit is {_GRID_LIMIT}")
+    # A batch is a run of leading-axis points, each with the whole lattice of
+    # the trailing axes that fit in one batch.  Those trailing columns repeat
+    # from batch to batch, so they are laid out once; columns are contiguous
+    # (Fortran order), which is how the objectives read them.
+    d, split, tail = len(shape), len(shape), 1
+    while split > 0 and tail * shape[split - 1] <= batch_size:
+        split -= 1
+        tail *= shape[split]
+    per_batch = batch_size // tail  # leading points per batch
+    rows = per_batch * tail
+    tail_cols = np.empty((rows, d - split), order="F")
+    inner = tail
+    for k in range(split, d):
+        inner //= shape[k]
+        tail_cols[:, k - split] = np.tile(np.repeat(axes[k], inner), rows // (shape[k] * inner))
+    head_shape = shape[:split]
+    n_head = math.prod(head_shape)
     best_val = -math.inf
     best_idx = 0
-    for start in range(0, total, batch_size):
-        flat = np.arange(start, min(start + batch_size, total))
-        multi = np.unravel_index(flat, shape)
-        pts = np.stack([axes[d][multi[d]] for d in range(len(axes))], axis=1)
-        vals = np.asarray(objective(pts), dtype=np.float64).reshape(len(flat))
+    for h0 in range(0, n_head, per_batch):
+        h1 = min(h0 + per_batch, n_head)
+        n = (h1 - h0) * tail
+        pts = np.empty((n, d), order="F")
+        pts[:, split:] = tail_cols[:n]
+        if split:
+            head = np.unravel_index(np.arange(h0, h1), head_shape)
+            for k in range(split):
+                pts[:, k] = np.repeat(axes[k][head[k]], tail)
+        vals = np.asarray(objective(pts), dtype=np.float64).reshape(n)
         arg = int(np.argmax(vals))
         if vals[arg] > best_val:
             best_val = float(vals[arg])
-            best_idx = start + arg
+            best_idx = h0 * tail + arg
     multi = np.unravel_index(best_idx, shape)
     best_point = np.array([axes[d][multi[d]] for d in range(len(axes))])
     return best_point, best_val

@@ -22,15 +22,17 @@ bracket.
 Two kernels run that iteration.  ``zeta_roots`` solves many receivers at
 once, one lane per column of a term matrix, and may be warm-started: it
 serves the Jacobi sweeps of the power-control fixed point, the rate profile
-``srm_rates_from_powers`` and the lattice tables of the gadget scan (with at
-most four lanes it loops over the scalar kernel instead).
+``srm_rates_from_powers`` and the lattice tables of the gadget scan.
 ``zeta_root`` solves one receiver in plain Python floats and serves every
 caller that needs a single root (``solve_zeta``, the derivatives, the vertex
 slice, ``reduce_maxcut`` and the CLI ``zeta`` command).  Both stay because a
-one-lane numpy call costs about 110 us against 10 us for the scalar loop (on
-a 2-vCPU VM): routing every root through the lanes kernel took the derivative
-sign-pattern acceptance test from 1.9 s to 15.3 s and the whole test suite
-from 30 s to 48 s.
+numpy call pays a fixed cost per array operation, about 20 operations per
+Newton step whatever the lane count: one lane with two terms costs about
+90 us through the numpy iteration against 7 us in the scalar loop (on a
+2-vCPU VM), and routing every root through the lanes kernel took the
+derivative sign-pattern acceptance test from 1.9 s to 15.3 s and the whole
+test suite from 30 s to 48 s.  The same fixed cost makes MMF solves of one
+to four users slower than with scalar sweeps (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
 
 _DEFAULT_TOL = 1e-12
 _MAX_STEPS = 200
-_LOOP_LANES = 4  # up to this many lanes, zeta_roots loops over zeta_root
 
 
 @dataclass(frozen=True)
@@ -146,23 +147,17 @@ def zeta_roots(sigma2, rho, T, x0=None) -> np.ndarray:
     ``sigma2`` and ``rho`` are scalars or one value per lane; ``T`` is an
     (m, n) array of nonnegative interference powers, zeros allowed.  Each
     lane runs the iteration of :func:`zeta_root`, with its stop rule, step
-    cap and errors, and the same sums in the same order.  A lane with no
-    positive term gets the closed form -log(rho)/sigma2, bit for bit.
+    cap and errors; numpy's log1p and sums may differ from the scalar
+    kernel's in the last bit, so the roots agree with zeta_root's within a
+    few ulps (tested to 2e-15 relative).  A lane with no positive term gets
+    the closed form -log(rho)/sigma2, equal to zeta_root's bit for bit.
 
     ``x0`` (one value >= 0 per lane) warm-starts the iteration.  Where
     log(psi(x0)) <= 0, x0 is at or below the root and Newton climbs from it;
     elsewhere one Newton step, clamped at 0, lands at or below the root,
     because a concave function lies under its tangent at x0.
-
-    With at most four lanes the call loops over :func:`zeta_root` from x = 0
-    instead, ignoring ``x0``: there the per-call cost of the numpy ops
-    dominates (one warm call 37-40 us for 2-5 lanes of an MMF sweep, against
-    10, 17, 24 and 34 us for a cold loop over 2, 3, 4 and 5 lanes), and the
-    loop's roots are zeta_root's bit for bit.
     """
     T = np.asarray(T, dtype=np.float64)
-    if T.shape[1] <= _LOOP_LANES:
-        return np.array([zeta_root(s, r, t)[0] for s, r, t in _lane_args(sigma2, rho, T)])
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     # math.log, not np.log: the closed form must equal zeta_root's bit for bit
     if np.ndim(rho) == 0:
@@ -179,9 +174,7 @@ def zeta_roots(sigma2, rho, T, x0=None) -> np.ndarray:
     # np.count_nonzero tests the lane masks: ndarray.any costs three times more
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         live = (T > 0.0).any(axis=0)
-        x = np.zeros(live.shape) if x0 is None else np.array(x0, dtype=np.float64)
-        if np.count_nonzero(live) < live.size:
-            np.copyto(x, -log_rho / sigma2, where=~live)
+        x = np.where(live, 0.0 if x0 is None else x0, -log_rho / sigma2)
         TX = T * x
         if x0 is None:
             fx = log_rho
@@ -192,22 +185,22 @@ def zeta_roots(sigma2, rho, T, x0=None) -> np.ndarray:
                 np.copyto(x, np.fmax(newton(x, fx, TX), 0.0), where=down)
                 TX = T * x
                 fx = log_psi(x, TX)
-        active = live
-        for _ in range(_MAX_STEPS):
+        active, steps = live, 0
+        while np.count_nonzero(active):
+            if steps == _MAX_STEPS:
+                j = int(np.argmax(active))
+                raise ArithmeticError(
+                    f"zeta: no convergence in {_MAX_STEPS} Newton steps (lane {j}, x = {float(x[j])!r})"
+                )
+            if steps:
+                TX = T * x
+                fx = log_psi(x, TX)
+            steps += 1
             x_new = newton(x, fx, TX)
             grow = active & (x_new > x)
             step = x_new - x
             np.copyto(x, x_new, where=grow)
             active = grow & (step > _DEFAULT_TOL * x)
-            if not np.count_nonzero(active):
-                break
-            TX = T * x
-            fx = log_psi(x, TX)
-        else:
-            j = int(np.argmax(active))
-            raise ArithmeticError(
-                f"zeta: no convergence in {_MAX_STEPS} Newton steps (lane {j}, x = {float(x[j])!r})"
-            )
     ok = (x > 0.0) & (x < math.inf)
     if np.count_nonzero(ok) < ok.size:
         j = int(np.argmin(ok))
@@ -215,17 +208,6 @@ def zeta_roots(sigma2, rho, T, x0=None) -> np.ndarray:
             f"zeta: root {float(x[j])!r} of lane {j} is not a positive finite float"
         )
     return x
-
-
-def _lane_args(sigma2, rho, T):
-    """(sigma2, rho, terms) of every lane as Python floats, for the scalar kernel."""
-    n = T.shape[1]
-    sigma2, rho = np.asarray(sigma2).tolist(), np.asarray(rho).tolist()
-    if not isinstance(sigma2, list):
-        sigma2 = [sigma2] * n
-    if not isinstance(rho, list):
-        rho = [rho] * n
-    return zip(sigma2, rho, T.T.tolist())
 
 
 def solve_zeta(ctx: ZetaContext, tol: float = _DEFAULT_TOL, full_output: bool = False):

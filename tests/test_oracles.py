@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,25 @@ def test_grid_search_batching_invariant():
     p1, v1 = grid_search(obj, grid)
     p2, v2 = grid_search(obj, grid, batch_size=7)
     assert np.array_equal(p1, p2) and v1 == v2
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4, 5, 19, 20, 21, 60, 61, 1 << 18])
+def test_grid_search_visits_every_point_in_order(batch_size):
+    # shape (3, 4, 5): batches split the lattice after each axis in turn
+    grid = GridSpec(lower=(0.0, 0.0, 0.0), upper=(1.0, 1.5, 2.0), step=(0.5, 0.5, 0.5))
+    axes = grid.axes()
+    lattice = np.array(list(itertools.product(*axes)))
+    seen = []
+
+    def obj(pts):
+        seen.append(pts.copy())
+        return np.minimum(pts @ [2.0, 1.0, 1.0], 4.0)  # first maximum: point 34 of 60
+
+    point, val = grid_search(obj, grid, batch_size=batch_size)
+    assert np.array_equal(np.concatenate(seen), lattice)
+    assert max(len(b) for b in seen) <= batch_size
+    best = int(np.argmax(obj(lattice)))
+    assert np.array_equal(point, lattice[best]) and val == obj(lattice)[best]
 
 
 def test_grid_search_size_guard():
