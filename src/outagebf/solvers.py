@@ -15,14 +15,39 @@ max-min-fair solution.
 Each Jacobi sweep solves the zeta of every targeted user in one
 ``zeta.zeta_roots`` call on the cross-gain columns Q_ki p_k (built once per
 test), warm-started from the previous sweep's zetas: any start is valid for
-that kernel.  The bisections (``mmf_bisection``, ``outage_balancing_siso``)
-start each midpoint from the last feasible witness instead of p = 0.  By
-Yates (IEEE JSAC 1995) iterating a standard interference function converges
-to its fixed point from any start, and monotonically from a start below it.
-A feasible witness sits below the fixed point of every harder midpoint (the
+that kernel.  The public ``feasibility_fixed_point`` decides by these sweeps
+alone, from p = 0, until a sweep moves no power by more than 1e-12 (feasible)
+or one exceeds its budget (infeasible).
+
+The bisections (``mmf_bisection``, ``outage_balancing_siso``) decide each
+midpoint with a Newton sandwich on the two certificates of Yates (IEEE JSAC
+1995) for a standard interference function I:
+
+- every Jacobi iterate climbing from a subsolution (p <= I(p)) stays below
+  each fixed point, so one that climbs past the budget proves infeasibility;
+- any q with I(q) <= q <= P proves feasibility: the iterates from q descend
+  to a fixed point below q.
+
+After each sweep from the subsolution x that neither converges nor leaves
+the budget, one Newton step on p = I(p), (Id - J)(q - x) = I(x) - x, gives a
+candidate q from the zetas the sweep returned.  One more response checks it:
+0 <= q <= P + POWER_SLACK and I(q) <= q (1 + _SWEEP_TOL), the margin covering
+the rounding of I (a fixed point computed in floats satisfies I(q) = q only to
+a few ulps).  With that margin a checked q keeps every constraint at
+LHS_i(q) <= exp(1e-12 |log rho_i|), below 1 + 7.5e-10 for every float rho_i
+and so inside LHS_SLACK.  A checked q is polished by Newton steps from
+above, each checked the same way, until max(q - I(q)) <= _SWEEP_TOL; the
+last one is the witness.  A candidate that fails a check, or a polish that
+does not converge in _POLISH_CAP steps, is discarded and the sweeps go on,
+so no verdict rests on the shape of I (on sampled instances every candidate
+within budget was a supersolution).  The witness takes the same closed-form
+recheck (LHS <= 1 + LHS_SLACK, p <= P + POWER_SLACK) as a Jacobi witness.
+
+Each midpoint starts from the last Jacobi iterate of the last feasible
+midpoint, a subsolution below the fixed point of every harder midpoint (the
 response grows with the rate and with rho), so the iterates still climb and
-the verdict is the cold one; the public ``feasibility_fixed_point`` keeps the
-cold start from p = 0.
+the verdict is the cold one; the witness from above is returned, never used
+as a start.
 """
 
 from __future__ import annotations
@@ -58,6 +83,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _SWEEP_CAP = 10_000
 _SWEEP_TOL = 1e-12
+_POLISH_CAP = 8
 
 
 def _check(instance: SisoInstance) -> None:
@@ -70,6 +96,7 @@ def _check(instance: SisoInstance) -> None:
 class _Lanes(NamedTuple):
     """Receivers ``users`` of an instance as zeta lanes, built once per call."""
 
+    users: np.ndarray
     sigma2: np.ndarray
     rho: np.ndarray
     direct: np.ndarray  # Q_ii
@@ -80,7 +107,9 @@ def _lanes(instance: SisoInstance, users) -> _Lanes:
     users = np.asarray(users, dtype=np.intp)
     cross = instance.Q[:, users]
     cross[users, np.arange(users.size)] = 0.0
-    return _Lanes(instance.sigma2[users], instance.rho[users], instance.Q[users, users], cross)
+    return _Lanes(
+        users, instance.sigma2[users], instance.rho[users], instance.Q[users, users], cross
+    )
 
 
 def _zetas(lanes: _Lanes, p: np.ndarray, z0=None) -> np.ndarray:
@@ -103,6 +132,12 @@ def srm_rates_from_powers(instance: SisoInstance, p) -> np.ndarray:
     R_i = log2(1 + zeta_i * Q_ii * p_i), where zeta_i solves the implicit
     interference equation at user i's received interference; plugging R_i back
     into the closed-form constraint gives equality.  p_i = 0 yields R_i = 0.
+
+    Equality holds to rounding only while R_i is a normal float, above about
+    2.2e-308 (powers of order 1e-307 and up).  A smaller, subnormal R_i has
+    fewer than 53 significant bits, and the constraint at it is tight only to
+    about 2^-1074 / R_i (1e-11 near R_i = 5e-313); a rate that underflows to
+    0 leaves the constraint at LHS_i = rho_i.
     """
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0):
@@ -155,49 +190,109 @@ class FeasibilityResult:
         return self.status == "feasible"
 
 
-def _feasible_at_targets(instance: SisoInstance, targets, start=None, keep_trace: bool = False):
+def _newton_step(lanes: _Lanes, x: np.ndarray, Ix: np.ndarray, z: np.ndarray):
+    """Newton step on p = I(p) from x, given I(x) and zeta(x) on the lanes.
+
+    Solves (Id - J) d = I(x) - x with J_ik = I_i Q_ki / ((1 + t_k zeta_i) D_i),
+    t_k = Q_ki x_k and D_i = sigma2_i + sum_k t_k / (1 + t_k zeta_i), the slope
+    of log psi_i at zeta_i.  Returns x + d, zero off the lanes; raises
+    LinAlgError when Id - J is singular.
+    """
+    u = lanes.users
+    A = lanes.cross / (1.0 + lanes.cross * x[:, None] * z)  # Q_ki / (1 + t_k zeta_i)
+    D = lanes.sigma2 + x @ A
+    J = (Ix / D)[:, None] * A[u].T
+    q = np.zeros(x.size)
+    q[u] = x[u] + np.linalg.solve(np.eye(u.size) - J, Ix - x[u])
+    return q
+
+
+def _probe(lanes: _Lanes, c, budget_on, x, Ix, z):
+    """Polished supersolution from a Newton step at x, or None to keep sweeping.
+
+    Each Newton point q is checked with one response: 0 <= q <= budget and
+    I(q) <= q (1 + _SWEEP_TOL).  The first step climbs from the subsolution x;
+    later ones polish downwards from the last checked point until
+    max(q - I(q)) <= _SWEEP_TOL.  A failed check, a singular system or
+    _POLISH_CAP steps without convergence give None.
+    """
+    for _ in range(_POLISH_CAP):
+        try:
+            q = _newton_step(lanes, x, Ix, z)
+        except np.linalg.LinAlgError:
+            return None
+        q_on = q[lanes.users]
+        if not np.all((q_on >= 0.0) & (q_on <= budget_on)):
+            return None
+        Ix, z = _response(lanes, c, q, z)
+        if not np.all(Ix <= q_on * (1.0 + _SWEEP_TOL)):
+            return None
+        if float((q_on - Ix).max()) <= _SWEEP_TOL:
+            return q
+        x = q
+    return None
+
+
+def _feasible_at_targets(
+    instance: SisoInstance,
+    targets,
+    start=None,
+    keep_trace: bool = False,
+    sandwich: bool = False,
+):
     """Fixed point of the minimal-power response at per-user rate targets.
 
     Jacobi sweeps from p = 0, or from ``start = (p, zetas)`` of an earlier
     test with the same users targeted.  Each sweep solves the zeta of every
     user with a positive target in one zeta_roots call, warm-started from the
-    previous sweep's zetas.  Returns the result and the last sweep's zetas.
+    previous sweep's zetas.  With ``sandwich`` every sweep that neither
+    converges nor leaves the budget is followed by a ``_probe``, whose
+    supersolution ends the test as its witness; without cross coupling the
+    response is constant, the first sweep is the fixed point and no probe
+    runs.  Returns the result and the last Jacobi iterate with its sweep's
+    zetas, the warm start of a harder test.
     """
     budget = instance.P + POWER_SLACK
     c = np.array([math.expm1(t * _LN2) for t in targets])
     on = np.flatnonzero(c)
     lanes, c = _lanes(instance, on), c[on]
+    sandwich = sandwich and np.count_nonzero(lanes.cross) > 0
     p, z = (np.zeros(instance.K), None) if start is None else start
     trace = [tuple(p.tolist())] if keep_trace else None
+    witness = None
     reason = "sweep_cap"
     it = 0
     for it in range(1, _SWEEP_CAP + 1):
-        p_new = np.zeros(instance.K)
-        p_new[on], z = _response(lanes, c, p, z)
+        x, p = p, np.zeros(instance.K)
+        p[on], z = _response(lanes, c, x, z)
         if keep_trace:
-            trace.append(tuple(p_new.tolist()))
-        step = float(abs(p_new - p).max())
-        p = p_new
+            trace.append(tuple(p.tolist()))
         if np.count_nonzero(p > budget):
             reason = "over_budget"
             break
-        if step <= _SWEEP_TOL:
+        if float(abs(p - x).max()) <= _SWEEP_TOL:
             reason = "converged"
             break
-    lhs = outage_lhs_all(instance, p, np.where(p > 0, targets, 0.0))
+        if sandwich:
+            witness = _probe(lanes, c, budget[on], x, p[on], z)
+            if witness is not None:
+                reason = "converged"
+                break
+    w = p if witness is None else witness
+    lhs = outage_lhs_all(instance, w, np.where(w > 0, targets, 0.0))
     residual = max(0.0, float(np.max(lhs)) - 1.0)
     if reason == "converged" and not (
-        residual <= LHS_SLACK and bool(np.all(p <= budget))
+        residual <= LHS_SLACK and bool(np.all(w <= budget))
     ):
         reason = "residual"
     return FeasibilityResult(
         status="feasible" if reason == "converged" else "infeasible",
-        p=p,
+        p=w,
         iterations=it,
         residual=residual,
         reason=reason,
         trace=tuple(trace) if keep_trace else None,
-    ), z
+    ), (p, z)
 
 
 def _verdict(res: FeasibilityResult, what: str) -> bool:
@@ -270,9 +365,10 @@ def mmf_bisection(instance: SisoInstance, delta: float) -> MmfSolution:
     Brackets [0, mmf_upper_bound] and halves until the bracket is narrower
     than delta; the returned rate is the last feasible lower end with its
     fixed-point witness.  The iteration count equals ceil(log2(upper/delta))
-    whenever upper/delta is not an exact power of two.  Each midpoint starts
-    from the last feasible witness; a test cut off by the sweep cap raises
-    ArithmeticError instead of counting as infeasible.
+    whenever upper/delta is not an exact power of two.  Each midpoint is
+    decided by the Newton sandwich of the module docstring, started from the
+    last Jacobi iterate of the last feasible midpoint; a test cut off by the
+    sweep cap raises ArithmeticError instead of counting as infeasible.
     """
     _check(instance)
     if not delta > 0:
@@ -285,12 +381,12 @@ def mmf_bisection(instance: SisoInstance, delta: float) -> MmfSolution:
     it = 0
     while hi - lo >= delta:
         mid = 0.5 * (lo + hi)
-        res, z = _feasible_at_targets(instance, instance.alpha * mid, start)
+        res, sub = _feasible_at_targets(instance, instance.alpha * mid, start, sandwich=True)
         ok = _verdict(res, f"feasibility test at R = {mid!r}")
         tested.append((mid, ok))
         if ok:
             lo = mid
-            best_p, start = res.p, (res.p, z)
+            best_p, start = res.p, sub
         else:
             hi = mid
         it += 1
@@ -342,8 +438,8 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
     Bisects the shared rho over (0, 1): the constraint LHS scales linearly in
     rho, so feasibility at fixed targets is monotone decreasing in rho.
     Returns (rho_star, witness powers); raises if even the smallest tested
-    rho is infeasible ("targets unachievable").  Midpoints start from the
-    last feasible witness, and a sweep-capped test raises ArithmeticError.
+    rho is infeasible ("targets unachievable").  Midpoints are decided as in
+    :func:`mmf_bisection`, and a sweep-capped test raises ArithmeticError.
     """
     _check(instance)
     if not tol > 0:
@@ -354,19 +450,19 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
     if np.any(R_targets < 0):
         raise ValueError("rate targets must be nonnegative")
     lo, hi = 0.0, 1.0
-    start = None  # (witness, zetas) of the last feasible midpoint
+    best_p, start = None, None
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
         inst_mid = dataclasses.replace(instance, rho=np.full(instance.K, mid))
-        res, z = _feasible_at_targets(inst_mid, R_targets, start)
+        res, sub = _feasible_at_targets(inst_mid, R_targets, start, sandwich=True)
         if _verdict(res, f"feasibility test at rho = {mid!r}"):
             lo = mid
-            start = (res.p, z)
+            best_p, start = res.p, sub
         else:
             hi = mid
-    if start is None:
+    if best_p is None:
         raise ValueError("targets unachievable")
-    return lo, start[0]
+    return lo, best_p
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,27 @@ def test_rates_make_every_active_constraint_tight(seed, K, share):
     assert np.all(np.abs(lhs[active] - 1.0) <= 1e-11)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    exponent=st.lists(st.floats(-325.0, -290.0), min_size=6, max_size=6),
+)
+def test_rates_are_tight_down_to_the_subnormal_floor(seed, K, exponent):
+    # power shares 10^-325 .. 10^-290 straddle the smallest normal rate, 2.2e-308;
+    # below it a rate has fewer bits and is tight only to about 2^-1074 / R
+    inst = sampling.random_siso_instance(np.random.default_rng(seed), K)
+    p = 10.0 ** np.array(exponent[:K]) * inst.P
+    rates = srm_rates_from_powers(inst, p)
+    lhs = outage_lhs_all(inst, p, rates)
+    on = rates > 0
+    floor = 4.0 * (2.0**-1074 / rates[on])
+    assert np.all(np.abs(lhs[on] - 1.0) <= 1e-11 + floor)
+    assert np.all(np.abs(lhs[rates >= np.finfo(float).tiny] - 1.0) <= 1e-11)
+    # a rate that underflows to 0 leaves the constraint at rho
+    assert np.array_equal(lhs[~on], inst.rho[~on])
+
+
 def test_min_power_response_inverts_constraint(two_user_instance):
     resp = min_power_response(two_user_instance, 0, [0.0, 0.6], 0.3)
     assert outage_lhs_siso(two_user_instance, [resp, 0.6], 0.3, 0) == pytest.approx(
@@ -327,3 +348,122 @@ def test_sweep_cap_is_no_verdict(two_user_instance, monkeypatch):
         mmf_bisection(two_user_instance, 1e-5)
     with pytest.raises(ArithmeticError, match="no fixed point within 2 sweeps"):
         outage_balancing_siso(two_user_instance, [0.1, 0.1])
+
+
+def _record_probes(mp, calls):
+    probe = solvers._probe
+
+    def recording(*args):
+        w = probe(*args)
+        calls.append((args, w))
+        return w
+
+    mp.setattr(solvers, "_probe", recording)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    frac=st.just(0.0) | st.floats(1e-9, 1.0),
+    lower=st.floats(0.01, 1.0),
+)
+def test_newton_candidates_are_supersolutions_or_fall_back(seed, K, frac, lower):
+    # the test at R_bar starts, as in a bisection, from the last Jacobi
+    # iterate of an easier test at lower * R_bar with the same users targeted
+    inst = sampling.random_siso_instance(np.random.default_rng(seed), K)
+    R_bar = frac * mmf_upper_bound(inst)
+    tests = []
+    start = None
+    for R in (lower * R_bar, R_bar):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            _record_probes(mp, calls)
+            res, start = solvers._feasible_at_targets(
+                inst, inst.alpha * R, start, sandwich=True
+            )
+        tests.append((R, res, calls))
+    for R, res, calls in tests:
+        assert res.feasible == feasibility_fixed_point(inst, R).feasible
+        for (lanes, c, budget_on, x, Ix, z), w in calls:
+            q = solvers._newton_step(lanes, x, Ix, z)
+            q_on = q[lanes.users]
+            certified = bool(np.all((q_on >= 0.0) & (q_on <= budget_on)))
+            if certified:
+                Iq = solvers._response(lanes, c, q, z)[0]
+                certified = bool(np.all(Iq <= q_on * (1.0 + solvers._SWEEP_TOL)))
+            if certified:
+                lhs = outage_lhs_all(inst, q, np.where(q > 0, inst.alpha * R, 0.0))
+                assert lhs.max() <= 1.0 + solvers.LHS_SLACK
+            else:
+                assert w is None
+        if res.feasible and calls and calls[-1][1] is not None:
+            assert res.p is calls[-1][1]
+
+
+@pytest.mark.parametrize(
+    "name, patch",
+    [
+        ("_probe", lambda *args: None),
+        # a Newton point at the subsolution itself fails I(q) <= q
+        ("_newton_step", lambda lanes, x, Ix, z: x.copy()),
+    ],
+    ids=["no-probe", "rejected-candidates"],
+)
+def test_forced_fallback_is_plain_jacobi(two_user_instance, monkeypatch, name, patch):
+    insts = [two_user_instance] + [
+        sampling.random_siso_instance(np.random.default_rng(seed), 8) for seed in range(3)
+    ]
+    sandwich = [mmf_bisection(inst, 1e-5) for inst in insts]
+    monkeypatch.setattr(solvers, name, patch)
+    for inst, sol in zip(insts, sandwich):
+        jacobi = mmf_bisection(inst, 1e-5)
+        assert (jacobi.tested, jacobi.R, jacobi.iterations) == (sol.tested, sol.R, sol.iterations)
+        np.testing.assert_allclose(sol.p, jacobi.p, rtol=1e-10, atol=0.0)
+    # with every candidate dropped, the first, cold, feasible midpoint needs
+    # more than 2 sweeps
+    monkeypatch.setattr(solvers, "_SWEEP_CAP", 2)
+    with pytest.raises(ArithmeticError, match="no fixed point within 2 sweeps"):
+        mmf_bisection(two_user_instance, 1e-5)
+    with pytest.raises(ArithmeticError, match="no fixed point within 2 sweeps"):
+        outage_balancing_siso(two_user_instance, [0.1, 0.1])
+
+
+def test_uncoupled_instance_runs_no_probe(monkeypatch):
+    # without cross gains the response is constant and its first sweep exact
+    def probe(*args):
+        raise AssertionError("probe on an uncoupled instance")
+
+    monkeypatch.setattr(solvers, "_probe", probe)
+    inst = SisoInstance(
+        Q=[[1.3, 0.0], [0.0, 0.9]],
+        sigma2=[0.8, 0.5],
+        rho=[0.88, 0.9],
+        P=[0.9, 1.0],
+        alpha=[1.4, 1.0],
+    )
+    ub = mmf_upper_bound(inst)
+    sol = mmf_bisection(inst, 1e-7)
+    assert ub - 1e-7 < sol.R <= ub
+
+
+@pytest.mark.parametrize("K", [8, 32])
+def test_bisection_witness_is_the_fixed_point_and_warm_starts_climb(K, monkeypatch):
+    inst = sampling.random_siso_instance(np.random.default_rng(K), K)
+    starts = []
+    feasible_at = solvers._feasible_at_targets
+
+    def recording(instance, targets, start=None, **kwargs):
+        if start is not None:
+            starts.append((targets, start[0]))
+        return feasible_at(instance, targets, start, **kwargs)
+
+    monkeypatch.setattr(solvers, "_feasible_at_targets", recording)
+    sol = mmf_bisection(inst, 1e-5)
+    cold = feasibility_fixed_point(inst, sol.R)
+    np.testing.assert_allclose(sol.p, cold.p, rtol=1e-10, atol=0.0)
+    assert starts
+    # each warm start is a subsolution of the map of the midpoint it starts
+    for targets, p in starts:
+        Ip = [min_power_response(inst, i, p, t) for i, t in enumerate(targets)]
+        assert np.all(p <= Ip)
