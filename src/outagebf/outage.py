@@ -9,6 +9,13 @@ circularly-symmetric Gaussian channels satisfies
 
 and the inequality is exact (the LHS equals rho_i / Pr[rate_i >= R]).  The
 SISO specialization substitutes s_i = Q_ii p_i, g_k = Q_ki p_k.
+
+One evaluator computes the LHS: ``outage_lhs_all``, a numpy expression over
+the gains matrix G[k, i] for all users at once; ``outage_lhs`` and
+``outage_lhs_siso`` read one entry of it.  numpy's exp and log1p differ from
+the C library's by a few ulps, so a value can differ from a scalar
+transcription of the formula in its last digits (exp amplifies the error of
+the exponent, to about 1e-13 relative for large exponents).
 """
 
 from __future__ import annotations
@@ -60,46 +67,52 @@ def _gains(instance, x) -> np.ndarray:
     return np.maximum(G, 0.0)
 
 
-def _lhs_from_terms(instance, G, R_i, i):
-    """Constraint LHS of user i at rate R_i, read from the gains matrix G."""
-    if R_i < 0:
-        raise ValueError("rate must be nonnegative")
-    if R_i == 0.0:
-        return float(instance.rho[i])
-    g = G[:, i].tolist()
-    s = g.pop(i)
-    if not s > 0.0:
-        raise ValueError(
-            "undefined constraint: zero received signal power with positive rate"
-        )
-    c = math.expm1(R_i * _LN2)  # 2^R - 1
-    return instance.rho[i] * math.exp(
-        c * instance.sigma2[i] / s + sum(math.log1p(c * gk / s) for gk in g)
-    )
+def _one_rate(K: int, i: int, R_i: float) -> np.ndarray:
+    """Rate vector that is R_i at user i and 0 elsewhere."""
+    return np.where(np.eye(K, dtype=bool)[i], R_i, 0.0)
 
 
 def outage_lhs(instance: MisoInstance, beams: BeamformerSet, R_i: float, i: int) -> float:
     """Closed-form outage-constraint LHS for user i; the constraint is LHS <= 1."""
-    return _lhs_from_terms(instance, _gains(instance, beams), R_i, i)
+    return float(outage_lhs_all(instance, beams, _one_rate(instance.K, i, R_i))[i])
 
 
 def outage_lhs_siso(instance: SisoInstance, p, R_i: float, i: int) -> float:
     """SISO specialization of :func:`outage_lhs` for a power vector p."""
-    return _lhs_from_terms(instance, _gains(instance, p), R_i, i)
+    return float(outage_lhs_all(instance, p, _one_rate(instance.K, i, R_i))[i])
 
 
 def outage_lhs_all(instance, x, R) -> np.ndarray:
     """Vector of constraint LHS values for all users at per-user rates R.
 
     Accepts a MisoInstance with a BeamformerSet or a SisoInstance with a power
-    vector; every quadratic form is evaluated once, for all (k, i) pairs.
+    vector; every quadratic form is evaluated once, for all (k, i) pairs, and
+    the LHS of every user in one array expression over the gains.  A user at
+    rate 0 gets rho_i exactly; a positive rate needs a positive signal.
     """
     R = np.asarray(R, dtype=np.float64)
     K = instance.K
     if R.shape != (K,):
         raise ValueError(f"R must have shape ({K},)")
     G = _gains(instance, x)
-    return np.array([_lhs_from_terms(instance, G, R[i], i) for i in range(K)])
+    if (R < 0).any():
+        raise ValueError("rate must be nonnegative")
+    s = G.diagonal()
+    off = R == 0.0
+    if (~off & ~(s > 0.0)).any():
+        raise ValueError(
+            "undefined constraint: zero received signal power with positive rate"
+        )
+    with np.errstate(over="raise"):  # 2^R - 1 has no float for R >= 1024
+        c = np.expm1(R * _LN2)
+    # rate-0 columns (s may be 0) are replaced below; an overflow reads +inf
+    with np.errstate(all="ignore"):
+        # (G_ki c_i) / s_i in this order: c_i / s_i overflows at a subnormal
+        # s_i, and a zero gain times that inf is nan, not 0
+        T = G * c / s
+        np.fill_diagonal(T, 0.0)
+        lhs = instance.rho * np.exp(c * instance.sigma2 / s + np.log1p(T).sum(axis=0))
+    return np.where(off, instance.rho, lhs)
 
 
 def _cov_factor(Q: np.ndarray) -> np.ndarray:

@@ -43,11 +43,12 @@ so no verdict rests on the shape of I (on sampled instances every candidate
 within budget was a supersolution).  The witness takes the same closed-form
 recheck (LHS <= 1 + LHS_SLACK, p <= P + POWER_SLACK) as a Jacobi witness.
 
-Each midpoint starts from the last Jacobi iterate of the last feasible
-midpoint, a subsolution below the fixed point of every harder midpoint (the
-response grows with the rate and with rho), so the iterates still climb and
-the verdict is the cold one; the witness from above is returned, never used
-as a start.
+Both bisections run one driver, ``_bisect``.  It starts each midpoint from
+the last Jacobi iterate of the last feasible midpoint, a subsolution below
+the fixed point of every harder midpoint (the response grows with the rate
+and with rho), so the iterates still climb and the verdict is the cold one;
+the witness from above is returned, never used as a start.  A test cut off
+by the sweep cap has no verdict and raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -295,11 +296,32 @@ def _feasible_at_targets(
     ), (p, z)
 
 
-def _verdict(res: FeasibilityResult, what: str) -> bool:
-    """The verdict of one bisection step; a sweep-capped test has none."""
-    if res.reason == "sweep_cap":
-        raise ArithmeticError(f"{what}: no fixed point within {_SWEEP_CAP} sweeps")
-    return res.feasible
+def _bisect(name: str, lo: float, hi: float, tol: float, problem):
+    """Bisect [lo, hi] until it is narrower than ``tol``, keeping lo feasible.
+
+    ``problem(mid)`` gives the (instance, targets) of a midpoint's test: a
+    Newton sandwich warm-started from the last Jacobi iterate of the last
+    feasible midpoint.  Returns lo with its witness (None if no midpoint was
+    feasible), the bracket after every step from the first, and every
+    (mid, verdict).  A sweep-capped test, named by ``name = mid``, raises
+    ArithmeticError.
+    """
+    p, start = None, None
+    trace, tested = [(lo, hi)], []
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        res, sub = _feasible_at_targets(*problem(mid), start, sandwich=True)
+        if res.reason == "sweep_cap":
+            raise ArithmeticError(
+                f"feasibility test at {name} = {mid!r}: no fixed point within {_SWEEP_CAP} sweeps"
+            )
+        tested.append((mid, res.feasible))
+        if res.feasible:
+            lo, p, start = mid, res.p, sub
+        else:
+            hi = mid
+        trace.append((lo, hi))
+    return lo, p, tuple(trace), tuple(tested)
 
 
 def feasibility_fixed_point(
@@ -328,17 +350,9 @@ def mmf_upper_bound(instance: SisoInstance) -> float:
     log2(1 + P_i Q_ii log(1/rho_i) / sigma2_i); the bound is the weighted min
     over users and is tight when the instance has no cross coupling.
     """
-    vals = [
-        math.log1p(
-            float(instance.P[i] * instance.Q[i, i])
-            * math.log(1.0 / float(instance.rho[i]))
-            / float(instance.sigma2[i])
-        )
-        / _LN2
-        / float(instance.alpha[i])
-        for i in range(instance.K)
-    ]
-    return min(vals)
+    d = instance.Q.diagonal()
+    vals = np.log1p(instance.P * d * np.log(1.0 / instance.rho) / instance.sigma2)
+    return float((vals / _LN2 / instance.alpha).min())
 
 
 @dataclass
@@ -365,45 +379,27 @@ def mmf_bisection(instance: SisoInstance, delta: float) -> MmfSolution:
     Brackets [0, mmf_upper_bound] and halves until the bracket is narrower
     than delta; the returned rate is the last feasible lower end with its
     fixed-point witness.  The iteration count equals ceil(log2(upper/delta))
-    whenever upper/delta is not an exact power of two.  Each midpoint is
-    decided by the Newton sandwich of the module docstring, started from the
-    last Jacobi iterate of the last feasible midpoint; a test cut off by the
-    sweep cap raises ArithmeticError instead of counting as infeasible.
+    whenever upper/delta is not an exact power of two.  Midpoints are
+    decided by the bisection driver of the module docstring; a test cut off
+    by the sweep cap raises ArithmeticError instead of counting as infeasible.
     """
     _check(instance)
     if not delta > 0:
         raise ValueError("delta must be positive")
-    hi = mmf_upper_bound(instance)
-    lo = 0.0
-    best_p, start = np.zeros(instance.K), None
-    trace = [(lo, hi)]
-    tested = []
-    it = 0
-    while hi - lo >= delta:
-        mid = 0.5 * (lo + hi)
-        res, sub = _feasible_at_targets(instance, instance.alpha * mid, start, sandwich=True)
-        ok = _verdict(res, f"feasibility test at R = {mid!r}")
-        tested.append((mid, ok))
-        if ok:
-            lo = mid
-            best_p, start = res.p, sub
-        else:
-            hi = mid
-        it += 1
-        trace.append((lo, hi))
-    rates = srm_rates_from_powers(instance, best_p)
-    weighted = rates / instance.alpha
-    mn = float(np.min(weighted))
-    binding = tuple(
-        int(i) for i in range(instance.K) if weighted[i] <= mn + 1e-9 * max(1.0, abs(mn))
+    R, p, trace, tested = _bisect(
+        "R", 0.0, mmf_upper_bound(instance), delta, lambda R: (instance, instance.alpha * R)
     )
+    p = np.zeros(instance.K) if p is None else p
+    weighted = srm_rates_from_powers(instance, p) / instance.alpha
+    mn = float(np.min(weighted))
+    binding = np.flatnonzero(weighted <= mn + 1e-9 * max(1.0, abs(mn)))
     return MmfSolution(
-        R=lo,
-        p=best_p,
-        trace=tuple(trace),
-        tested=tuple(tested),
-        iterations=it,
-        binding_users=binding,
+        R=R,
+        p=p,
+        trace=trace,
+        tested=tested,
+        iterations=len(tested),
+        binding_users=tuple(binding.tolist()),
     )
 
 
@@ -416,20 +412,11 @@ def mmf_modulus_bound(instance: SisoInstance, step: float) -> float:
     L_i = (Q_ii/ln2) zeta_max_i (1 + P_i/sigma2_i * sum_{k!=i} Q_ki).
     Returned value is (step/2) times that constant.
     """
-    worst = 0.0
-    for i in range(instance.K):
-        zmax = math.log(1.0 / float(instance.rho[i])) / float(instance.sigma2[i])
-        cross = sum(
-            float(instance.Q[k, i]) for k in range(instance.K) if k != i
-        )
-        L = (
-            float(instance.Q[i, i])
-            / _LN2
-            * zmax
-            * (1.0 + float(instance.P[i]) / float(instance.sigma2[i]) * cross)
-        )
-        worst = max(worst, L / float(instance.alpha[i]))
-    return 0.5 * step * worst
+    sigma2, d = instance.sigma2, instance.Q.diagonal()
+    cross = instance.Q.sum(axis=0, where=~np.eye(instance.K, dtype=bool))
+    zmax = np.log(1.0 / instance.rho) / sigma2
+    L = d / _LN2 * zmax * (1.0 + instance.P / sigma2 * cross)
+    return 0.5 * step * float((L / instance.alpha).max())
 
 
 def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
@@ -449,20 +436,16 @@ def outage_balancing_siso(instance: SisoInstance, R_targets, tol: float = 1e-6):
         raise ValueError(f"R_targets must have shape ({instance.K},)")
     if np.any(R_targets < 0):
         raise ValueError("rate targets must be nonnegative")
-    lo, hi = 0.0, 1.0
-    best_p, start = None, None
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        inst_mid = dataclasses.replace(instance, rho=np.full(instance.K, mid))
-        res, sub = _feasible_at_targets(inst_mid, R_targets, start, sandwich=True)
-        if _verdict(res, f"feasibility test at rho = {mid!r}"):
-            lo = mid
-            best_p, start = res.p, sub
-        else:
-            hi = mid
-    if best_p is None:
+    rho, p, _, _ = _bisect(
+        "rho",
+        0.0,
+        1.0,
+        tol,
+        lambda rho: (dataclasses.replace(instance, rho=np.full(instance.K, rho)), R_targets),
+    )
+    if p is None:
         raise ValueError("targets unachievable")
-    return lo, best_p
+    return rho, p
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ Newton step whatever the lane count: one lane with two terms costs about
 2-vCPU VM), and routing every root through the lanes kernel took the
 derivative sign-pattern acceptance test from 1.9 s to 15.3 s and the whole
 test suite from 30 s to 48 s.  The same fixed cost makes MMF solves of one
-or two users slower than with the scalar sweeps this kernel replaced, about
-0.3 and 0.6 times as fast, and three users about as fast; from four users
-up, where the Newton sandwich of ``solvers`` saves more sweeps than it adds
-numpy calls, they run faster (see ROADMAP.md).
+to three users slower than with the scalar sweeps this kernel replaced,
+about 0.3, 0.6 and 0.9 times as fast; from four users up, where the Newton
+sandwich of ``solvers`` saves more sweeps than it adds numpy calls, they
+run faster (see ROADMAP.md).
 """
 
 from __future__ import annotations

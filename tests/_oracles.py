@@ -104,3 +104,32 @@ def siso_grid_mmf(instance, step):
         rate = np.log1p(float(instance.Q[i, i]) * own * ztab) / math.log(2.0)
         weighted[i] = rate / float(instance.alpha[i])
     return float(np.max(np.min(weighted, axis=0)))
+
+
+def mmf_upper_bound_direct(instance):
+    """Interference-free MMF cap, min_i log2(1 + P_i Q_ii log(1/rho_i) / sigma2_i) / alpha_i."""
+    vals = []
+    for i in range(instance.K):
+        snr = float(instance.P[i] * instance.Q[i, i]) * math.log(1.0 / float(instance.rho[i]))
+        rate = math.log1p(snr / float(instance.sigma2[i])) / math.log(2.0)
+        vals.append(rate / float(instance.alpha[i]))
+    return min(vals)
+
+
+def mmf_modulus_bound_direct(instance, step):
+    """(step/2) max_i L_i/alpha_i with L_i = (Q_ii/ln2) zmax_i (1 + P_i/sigma2_i sum_{k!=i} Q_ki)."""
+    worst = 0.0
+    for i in range(instance.K):
+        zmax = math.log(1.0 / float(instance.rho[i])) / float(instance.sigma2[i])
+        cross = 0.0
+        for k in range(instance.K):
+            if k != i:
+                cross += float(instance.Q[k, i])
+        L = (
+            float(instance.Q[i, i])
+            / math.log(2.0)
+            * zmax
+            * (1.0 + float(instance.P[i]) / float(instance.sigma2[i]) * cross)
+        )
+        worst = max(worst, L / float(instance.alpha[i]))
+    return 0.5 * step * worst

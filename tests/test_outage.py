@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _oracles import lhs_direct, rate_cap
 from outagebf import sampling
@@ -114,6 +116,67 @@ def test_lhs_all_matches_per_user(two_user_instance):
 def test_lhs_all_shape_check(two_user_instance):
     with pytest.raises(ValueError, match="shape"):
         outage_lhs_all(two_user_instance, [0.5, 0.5], [0.1])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 12),
+    zero_rate=st.integers(0, 2**12 - 1),
+    zero_power=st.integers(0, 2**12 - 1),
+    lifted=st.booleans(),
+)
+def test_lhs_all_matches_oracle_and_reads_each_user_alone(seed, K, zero_rate, zero_power, lifted):
+    # bit i of zero_rate sets R_i = 0, bit i of zero_power also p_i = 0
+    rng = np.random.default_rng(seed)
+    inst = sampling.random_siso_instance(rng, K)
+    bits = 1 << np.arange(K)
+    p = np.where(zero_power & bits, 0.0, rng.uniform(0.05, 1.2, size=K))
+    R = np.where((zero_rate | zero_power) & bits, 0.0, rng.uniform(1e-3, 2.0, size=K))
+    x = inst, p
+    if lifted:
+        x = inst.to_miso(), beams_from_powers(p)
+    lhs = outage_lhs_all(*x, R)
+    for i in range(K):
+        s = inst.Q[i, i] * p[i]
+        g = [inst.Q[k, i] * p[k] for k in range(K) if k != i]
+        want = lhs_direct(inst.rho[i], inst.sigma2[i], s, g, R[i])
+        assert lhs[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert lhs[i] == outage_lhs_all(*x, np.where(np.arange(K) == i, R, 0.0))[i]
+        if R[i] == 0.0:
+            assert lhs[i] == inst.rho[i]
+    with pytest.raises(ValueError, match="shape"):
+        outage_lhs_all(*x, np.append(R, 0.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        outage_lhs_all(*x, np.where(np.arange(K) == K - 1, -1e-300, R))
+    if p.any():
+        with pytest.raises(ArithmeticError):  # 2^R - 1 overflows: an error, not nan
+            outage_lhs_all(*x, np.where(p > 0, 1100.0, 0.0))
+    if zero_power & (1 << (K - 1)):
+        with pytest.raises(ValueError, match="zero received signal power"):
+            outage_lhs_all(*x, np.where(np.arange(K) == K - 1, 0.5, R))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    tiny=st.floats(5e-324, 2e-308),
+    rate=st.floats(0.01, 2.0),
+)
+def test_subnormal_signal_at_positive_rate_is_inf_not_nan(seed, K, tiny, rate):
+    # user 0 receives a subnormal signal; zero gains from silent users must
+    # not turn its LHS into nan
+    rng = np.random.default_rng(seed)
+    inst = sampling.random_siso_instance(rng, K)
+    p = rng.uniform(0.05, 1.2, size=K) * (rng.uniform(size=K) < 0.5)
+    p[0] = tiny
+    assume(inst.Q[0, 0] * tiny > 0.0)
+    R = np.where(p > 0, rng.uniform(0.01, 2.0, size=K), 0.0)
+    R[0] = rate
+    lhs = outage_lhs_all(inst, p, R)
+    assert lhs[0] == math.inf
+    assert not np.isnan(lhs).any()
 
 
 def test_instantaneous_rate():

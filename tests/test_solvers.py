@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import siso_grid_mmf, user_rate
+from _oracles import (
+    mmf_modulus_bound_direct,
+    mmf_upper_bound_direct,
+    siso_grid_mmf,
+    user_rate,
+)
 from outagebf import sampling, solvers
 from outagebf.model import SisoInstance
-from outagebf.outage import outage_lhs_all, outage_lhs_siso
+from outagebf.outage import LHS_SLACK, POWER_SLACK, outage_lhs_all, outage_lhs_siso
 from outagebf.solvers import (
     VertexSliceContext,
     feasibility_fixed_point,
@@ -234,6 +239,25 @@ def test_siso_solvers_validate_on_entry(two_user_instance):
         feasibility_fixed_point(bad, 0.1)
     with pytest.raises(ValueError, match=r"invalid instance: Q\[1,1\]"):
         outage_balancing_siso(bad, [0.1, 0.1])
+
+
+def test_bounds_match_per_user_transcriptions():
+    rng = np.random.default_rng(91)
+    insts = [sampling.random_siso_instance(rng, int(K)) for K in rng.integers(1, 41, size=40)]
+    uncoupled = SisoInstance(
+        Q=np.diag([1.3, 0.9, 1.1]),
+        sigma2=[0.8, 0.5, 1.2],
+        rho=[0.88, 0.9, 0.75],
+        P=[0.9, 1.0, 0.6],
+        alpha=[1.4, 1.0, 0.8],
+    )
+    insts.append(uncoupled)
+    for inst in insts:
+        assert mmf_upper_bound(inst) == pytest.approx(mmf_upper_bound_direct(inst), rel=1e-15)
+        for step in (0.02, 0.5):
+            assert mmf_modulus_bound(inst, step) == pytest.approx(
+                mmf_modulus_bound_direct(inst, step), rel=1e-15
+            )
 
 
 def test_modulus_bound_scales_linearly(two_user_instance):
@@ -467,3 +491,49 @@ def test_bisection_witness_is_the_fixed_point_and_warm_starts_climb(K, monkeypat
     for targets, p in starts:
         Ip = [min_power_response(inst, i, p, t) for i, t in enumerate(targets)]
         assert np.all(p <= Ip)
+
+
+def _extreme_instance(K, sigma2_scale, coupling):
+    inst = sampling.random_siso_instance(np.random.default_rng(K), K)
+    Q = np.array(inst.Q)
+    if coupling == "near-singular":
+        # every column almost equal to every other: Q = 1 1^T + 1e-9 Id
+        Q = np.ones((K, K)) + 1e-9 * np.eye(K)
+    return dataclasses.replace(inst, Q=Q, sigma2=sigma2_scale * inst.sigma2)
+
+
+def _assert_witness(inst, p, targets):
+    assert np.all(p >= 0.0) and np.all(p <= inst.P + POWER_SLACK)
+    lhs = outage_lhs_all(inst, p, np.where(p > 0, targets, 0.0))
+    assert not np.isnan(lhs).any() and lhs.max() <= 1.0 + LHS_SLACK
+
+
+@pytest.mark.parametrize("coupling", ["random", "near-singular"])
+@pytest.mark.parametrize("sigma2_scale", [1e-12, 1.0, 1e6])
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_bisections_at_extremes_give_a_checked_witness_or_raise(
+    K, sigma2_scale, coupling, monkeypatch
+):
+    # both bisections share one driver; at extreme noise, near-singular
+    # coupling and K = 1 each returns a witness that passes the closed-form
+    # recheck or raises, never a nan rate or a point over its budget.  At
+    # sigma2 = 1e-12 an infeasible midpoint climbs from powers near 1e-12 to
+    # the budget by a ratio close to 1 per sweep and meets any sweep cap; the
+    # cap is lowered so that those cases raise in 1000 sweeps, not 10,000
+    monkeypatch.setattr(solvers, "_SWEEP_CAP", 1000)
+    inst = _extreme_instance(K, sigma2_scale, coupling)
+    ub = mmf_upper_bound(inst)
+    try:
+        sol = mmf_bisection(inst, 1e-6 * ub)
+    except (ValueError, ArithmeticError):
+        pass
+    else:
+        assert 0.0 <= sol.R <= ub
+        _assert_witness(inst, sol.p, inst.alpha * sol.R)
+    targets = 0.25 * ub * inst.alpha
+    try:
+        rho, p = outage_balancing_siso(inst, targets)
+    except (ValueError, ArithmeticError):
+        return
+    assert 0.0 < rho < 1.0
+    _assert_witness(dataclasses.replace(inst, rho=np.full(K, rho)), p, targets)

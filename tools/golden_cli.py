@@ -14,8 +14,10 @@ they cannot tell a rounding change from a real one.  With ``--against`` it
 runs every invocation under both trees, on identical inputs in separate
 directories, and prints per invocation whether the exit codes match, whether
 every non-float field of the JSON output matches (keys, lengths, strings,
-integers, booleans, verdicts), and the largest relative difference between
-float fields; it exits 1 when an exit code or a non-float field differs.
+integers, booleans, verdicts), the largest relative and absolute
+differences between float fields, and how many floats flip between 0.0 and
+-0.0 (equal as numbers, different as text); it exits 1 when an exit code or
+a non-float field differs.
 This is a manual refactoring check and not part of the test suite.
 """
 
@@ -111,29 +113,36 @@ def run_all(src: Path, cwd: Path) -> list:
 
 
 def compare(a, b, path="$"):
-    """(first non-float difference or None, largest relative float difference)."""
+    """Differences between two parsed outputs.
+
+    Returns (first non-float difference or None, largest relative float
+    difference, largest absolute float difference, number of floats that
+    flip between 0.0 and -0.0, which compare equal but print differently).
+    """
     if isinstance(a, float) and isinstance(b, float):
-        if a == b or (math.isnan(a) and math.isnan(b)):
-            return None, 0.0
-        return None, abs(a - b) / max(abs(a), abs(b))
+        if math.isnan(a) and math.isnan(b):
+            return None, 0.0, 0.0, 0
+        if a == b:
+            return None, 0.0, 0.0, int(math.copysign(1.0, a) != math.copysign(1.0, b))
+        return None, abs(a - b) / max(abs(a), abs(b)), abs(a - b), 0
     if type(a) is not type(b):
-        return path, 0.0
+        return path, 0.0, 0.0, 0
     if isinstance(a, dict):
         if list(a) != list(b):
-            return path + " keys", 0.0
+            return path + " keys", 0.0, 0.0, 0
         pairs = [(a[k], b[k], f"{path}.{k}") for k in a]
     elif isinstance(a, list):
         if len(a) != len(b):
-            return path + " length", 0.0
+            return path + " length", 0.0, 0.0, 0
         pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
     else:
-        return (None if a == b else path), 0.0
-    first, worst = None, 0.0
+        return (None if a == b else path), 0.0, 0.0, 0
+    first, rel, absolute, flips = None, 0.0, 0.0, 0
     for x, y, p in pairs:
-        diff, rel = compare(x, y, p)
+        diff, r, d, f = compare(x, y, p)
         first = first or diff
-        worst = max(worst, rel)
-    return first, worst
+        rel, absolute, flips = max(rel, r), max(absolute, d), flips + f
+    return first, rel, absolute, flips
 
 
 def parse(stdout: bytes):
@@ -159,11 +168,14 @@ def main() -> int:
         ok = True
         mine, theirs = run_all(SRC, here), run_all(args.against.resolve(), there)
         for argv, (rc_a, out_a), (rc_b, out_b) in zip(INVOCATIONS, mine, theirs):
-            diff, worst = compare(parse(out_a), parse(out_b))
+            diff, rel, absolute, flips = compare(parse(out_a), parse(out_b))
             exits = "exit same" if rc_a == rc_b else f"exit {rc_a} vs {rc_b}"
             fields = "fields same" if diff is None else f"fields differ at {diff}"
             ok &= rc_a == rc_b and diff is None
-            print(f"{exits:<14} {fields:<30} max_rel_float={worst:.2g}  {' '.join(argv)}")
+            print(
+                f"{exits:<14} {fields:<30} max_rel_float={rel:.2g} max_abs_float={absolute:.2g}"
+                f" signed_zero_flips={flips}  {' '.join(argv)}"
+            )
     return 0 if ok else 1
 
 
