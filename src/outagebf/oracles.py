@@ -3,6 +3,16 @@
 Everything here trades time for certainty: exhaustive enumeration and dense
 lattice scans with hard size guards, first-found tie-breaking, and no reuse
 of the code paths under test.
+
+``grid_search`` scans a lattice in one of two ways.  A plain objective gets
+batches of lattice points and returns one value per point.  A
+:class:`SeparableObjective` is a sum of small tables, each over a few axes;
+the scan adds those tables broadcast over a block of the lattice, in the
+objective's term order, so it never lays out the points and its values equal
+the objective's own, bit for bit.  ``gadget_grid_objective`` returns one:
+every term of a cut gadget's weighted sum rate depends on two or three
+powers.  A separable objective is defined on its lattice only, and calling
+it on a point off the lattice raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ __all__ = [
     "exhaustive_3sat",
     "discrete_srm_search",
     "GridSpec",
+    "SeparableObjective",
     "grid_search",
     "vectorize_scalar",
     "gadget_grid_objective",
@@ -122,15 +133,42 @@ class GridSpec:
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "step", st)
 
+    def shape(self) -> tuple:
+        """Number of lattice points along each axis."""
+        return tuple(
+            int(math.floor((h - l) / s + 1e-9)) + 1
+            for l, h, s in zip(self.lower, self.upper, self.step)
+        )
+
     def axes(self):
-        out = []
-        for l, h, s in zip(self.lower, self.upper, self.step):
-            n = int(math.floor((h - l) / s + 1e-9)) + 1
-            out.append(l + s * np.arange(n))
-        return out
+        return [l + s * np.arange(n) for l, s, n in zip(self.lower, self.step, self.shape())]
 
     def n_points(self) -> int:
-        return math.prod(len(a) for a in self.axes())
+        return math.prod(self.shape())
+
+    def indices(self, points) -> np.ndarray:
+        """Per-axis lattice indices of an (n, d) array of lattice points.
+
+        A coordinate is on the lattice when it lies within 1e-9 steps of an
+        axis value, the tolerance :meth:`axes` uses for the upper end, so
+        0.7 is the point 14 * 0.05 = 0.7000000000000001.  Raises ValueError
+        for a coordinate off the lattice, outside the bounds or not finite.
+        Columns past the d-th are not read, as a point objective that picks
+        its columns by index does not read them.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        d = len(self.step)
+        if pts.ndim != 2 or pts.shape[1] < d:
+            raise ValueError(f"expected (n, {d}) points, got shape {pts.shape}")
+        pts = pts[:, :d]
+        q = (pts - self.lower) / self.step
+        k = np.rint(q)
+        with np.errstate(invalid="ignore"):
+            bad = ~(np.abs(q - k) <= 1e-9) | (k < 0) | (k >= self.shape())
+        if np.count_nonzero(bad):
+            r, c = (int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"coordinate {c} of point {r}, {pts[r, c]!r}, is not on the lattice")
+        return k.astype(np.intp)
 
 
 def vectorize_scalar(f):
@@ -142,68 +180,121 @@ def vectorize_scalar(f):
     return batched
 
 
-def grid_search(objective, grid: GridSpec, batch_size: int = 1 << 18):
-    """Exhaustive lattice maximization (at most 1e8 points).
+@dataclass(frozen=True, eq=False)
+class SeparableObjective:
+    """A lattice objective that is a sum of small per-term tables.
 
-    ``objective`` receives an (n, d) array of lattice points and returns n
-    values (wrap plain scalar functions with :func:`vectorize_scalar`).
-    Points are visited in lexicographic order, first dimension slowest; ties
-    break to the first point visited, so a constant objective returns the
-    all-lower-bounds corner.  Returns (best point, best value).
+    ``terms`` is a list of ``(axes, table)`` pairs: at the lattice point with
+    per-axis indices ``i`` the term adds ``table[i[axes[0]], i[axes[1]], ...]``,
+    and the terms are added in list order.  Calling the objective on an
+    (n, d) array of points of ``grid`` returns n values and raises
+    ValueError for a point off the lattice (see :meth:`GridSpec.indices`).
+    :func:`grid_search` over ``grid`` adds the tables broadcast over blocks
+    of the lattice instead, with the same bits.
     """
-    axes = grid.axes()
-    shape = tuple(len(a) for a in axes)
+
+    grid: GridSpec
+    terms: list
+
+    def __post_init__(self):
+        shape = self.grid.shape()
+        for axes, table in self.terms:
+            if np.shape(table) != tuple(shape[a] for a in axes):
+                raise ValueError(f"table of shape {np.shape(table)} does not fit axes {axes}")
+
+    def __call__(self, points):
+        idx = self.grid.indices(points)
+        return self.total(list(idx.T), len(idx))
+
+    def total(self, index, shape):
+        """Sum of the terms at per-axis index arrays that broadcast to ``shape``."""
+        total = np.zeros(shape)
+        for axes, table in self.terms:
+            total += table[tuple(index[a] for a in axes)]
+        return total
+
+
+def _batches(objective, grid: GridSpec, batch_size: int):
+    """(flat index of its first point, values) of each batch, in visiting order."""
+    shape = grid.shape()
     # plain-int product: np.prod would wrap silently on huge grids
     total = math.prod(shape)
     if total > _GRID_LIMIT:
         raise ValueError(f"grid has {total} points, limit is {_GRID_LIMIT}")
-    # A batch is a run of leading-axis points, each with the whole lattice of
-    # the trailing axes that fit in one batch.  Those trailing columns repeat
-    # from batch to batch, so they are laid out once; columns are contiguous
-    # (Fortran order), which is how the objectives read them.
+    # A batch is a block of shape (head points, *tail shape): a run of
+    # leading-axis ("head") points, each with the whole lattice of the
+    # trailing ("tail") axes that fit in one batch.  Head indices run down the
+    # block's first dimension and each tail axis along its own.
     d, split, tail = len(shape), len(shape), 1
     while split > 0 and tail * shape[split - 1] <= batch_size:
         split -= 1
         tail *= shape[split]
-    per_batch = batch_size // tail  # leading points per batch
-    rows = per_batch * tail
-    tail_cols = np.empty((rows, d - split), order="F")
-    inner = tail
-    for k in range(split, d):
-        inner //= shape[k]
-        tail_cols[:, k - split] = np.tile(np.repeat(axes[k], inner), rows // (shape[k] * inner))
+    per_batch = batch_size // tail  # head points per batch
     head_shape = shape[:split]
     n_head = math.prod(head_shape)
-    best_val = -math.inf
-    best_idx = 0
+    tail_index = [
+        np.arange(shape[k]).reshape((1,) * (k - split + 1) + (-1,) + (1,) * (d - k - 1))
+        for k in range(split, d)
+    ]
+    separable = isinstance(objective, SeparableObjective) and objective.grid == grid
+    axes = grid.axes()
     for h0 in range(0, n_head, per_batch):
         h1 = min(h0 + per_batch, n_head)
-        n = (h1 - h0) * tail
-        pts = np.empty((n, d), order="F")
-        pts[:, split:] = tail_cols[:n]
-        if split:
-            head = np.unravel_index(np.arange(h0, h1), head_shape)
-            for k in range(split):
-                pts[:, k] = np.repeat(axes[k][head[k]], tail)
-        vals = np.asarray(objective(pts), dtype=np.float64).reshape(n)
+        head = np.unravel_index(np.arange(h0, h1), head_shape) if split else ()
+        index = [h.reshape((-1,) + (1,) * (d - split)) for h in head] + tail_index
+        block = (h1 - h0,) + shape[split:]
+        n = math.prod(block)
+        if separable:
+            vals = objective.total(index, block)
+        else:
+            # columns are contiguous (Fortran order), which is how the
+            # objectives read them
+            pts = np.empty((n, d), order="F")
+            for k in range(d):
+                pts[:, k].reshape(block)[...] = axes[k][index[k]]
+            vals = objective(pts)
+        yield h0 * tail, np.asarray(vals, dtype=np.float64).reshape(n)
+
+
+def grid_search(objective, grid: GridSpec, batch_size: int = 1 << 18):
+    """Exhaustive lattice maximization (at most 1e8 points).
+
+    A :class:`SeparableObjective` built on ``grid`` is scanned by adding its
+    tables broadcast over blocks of the lattice, in its term order, so each
+    value has the bits of the objective's own call at that lattice point.
+    Any other ``objective`` receives an (n, d) array of lattice points and
+    returns n values (wrap plain scalar functions with
+    :func:`vectorize_scalar`).  Either way a batch holds at most
+    ``batch_size`` points.  Points are visited in lexicographic order, first
+    dimension slowest; ties break to the first point visited, so a constant
+    objective returns the all-lower-bounds corner; two sums equal in exact
+    arithmetic but rounded differently are not a tie.  Returns (best point,
+    best value).
+    """
+    best_val = -math.inf
+    best_idx = 0
+    for first, vals in _batches(objective, grid, batch_size):
         arg = int(np.argmax(vals))
         if vals[arg] > best_val:
             best_val = float(vals[arg])
-            best_idx = h0 * tail + arg
-    multi = np.unravel_index(best_idx, shape)
-    best_point = np.array([axes[d][multi[d]] for d in range(len(axes))])
+            best_idx = first + arg
+    multi = np.unravel_index(best_idx, grid.shape())
+    best_point = np.array([ax[i] for ax, i in zip(grid.axes(), multi)])
     return best_point, best_val
 
 
 def gadget_grid_objective(gadget: MaxCutGadget, step: float):
     """Full-lattice scan setup for a cut gadget's weighted sum rate.
 
-    Returns (GridSpec over all 2(V+E) powers, batched objective) where the
-    objective evaluates exactly the weighted sum of srm_rates_from_powers but
-    through tables of pre-solved interference roots, so scanning tens of
-    millions of lattice points stays cheap.  Vertex powers run over [0, 1]
-    and edge powers over [0, 0.7]; both ranges must be integer multiples of
-    ``step``.
+    Returns (GridSpec over all 2(V+E) powers, :class:`SeparableObjective`)
+    where the objective evaluates exactly the weighted sum of
+    srm_rates_from_powers but from tables of pre-solved interference roots,
+    so scanning tens of millions of lattice points stays cheap.  A vertex
+    user's rate depends on its own power and its partner's, an edge user's
+    on its own and the two vertex powers that interfere with it, so each
+    term is an 11 x 11 or 8 x 11 x 11 table at step 0.1.  Vertex powers run
+    over [0, 1] and edge powers over [0, 0.7]; both ranges must be integer
+    multiples of ``step``.
     """
     graph, um = gadget.graph, gadget.usermap
     V = graph.V
@@ -211,37 +302,38 @@ def gadget_grid_objective(gadget: MaxCutGadget, step: float):
     for span in (1.0, EDGE_BUDGET):
         if abs(round(span / step) - span / step) > 1e-9:
             raise ValueError(f"step {step} does not divide the power range {span}")
-    vaxis = step * np.arange(round(1.0 / step) + 1)
-    zv = zeta_roots(GADGET_SIGMA2, GADGET_RHO, vaxis[None, :])
-    ia, ib = np.triu_indices(len(vaxis))
-    ze = np.empty((len(vaxis), len(vaxis)))
-    ze[ia, ib] = ze[ib, ia] = zeta_roots(GADGET_SIGMA2, GADGET_RHO, np.stack([vaxis[ia], vaxis[ib]]))
-
-    vertex_cols = [
-        (um.vertex(i, a), um.vertex(i, 1 - a)) for i in range(1, V + 1) for a in (0, 1)
-    ]
-    edge_cols = [
-        (um.edge(t, h), um.vertex(t, 0), um.vertex(h, 1), float(gadget.instance.alpha[um.edge(t, h)]))
-        for i, j, _ in graph.edges
-        for t, h in ((i, j), (j, i))
-    ]
-
-    def objective(pts):
-        iv = np.rint(pts[:, : 2 * V] / step).astype(np.intp)
-        total = np.zeros(len(pts))
-        for u, partner in vertex_cols:
-            total += np.log1p(pts[:, u] * zv[iv[:, partner]]) / ln2
-        for e, t0, h1, alpha in edge_cols:
-            total += alpha * np.log1p(pts[:, e] * ze[iv[:, t0], iv[:, h1]]) / ln2
-        return total
-
     K = um.K
     grid = GridSpec(
         lower=(0.0,) * K,
         upper=(1.0,) * 2 * V + (EDGE_BUDGET,) * (K - 2 * V),
         step=(step,) * K,
     )
-    return grid, objective
+    axes = grid.axes()
+    vaxis = axes[0]
+    zv = zeta_roots(GADGET_SIGMA2, GADGET_RHO, vaxis[None, :])
+    ia, ib = np.triu_indices(len(vaxis))
+    ze = np.empty((len(vaxis), len(vaxis)))
+    ze[ia, ib] = ze[ib, ia] = zeta_roots(GADGET_SIGMA2, GADGET_RHO, np.stack([vaxis[ia], vaxis[ib]]))
+
+    # [own power, partner power]: the same table for every vertex user
+    vertex_table = np.log1p(vaxis[:, None] * zv[None, :]) / ln2
+    terms = [
+        ((um.vertex(i, a), um.vertex(i, 1 - a)), vertex_table)
+        for i in range(1, V + 1)
+        for a in (0, 1)
+    ]
+    # [own power, tail vertex power, head vertex power].  The order of
+    # alpha * log / ln2 is kept: alpha * (log / ln2) can round differently
+    # when alpha is not a power of two, and the scan returns the first of
+    # tied maxima (such as the two orientations of a cut), so one changed
+    # bit can change the point it returns.
+    for i, j, _ in graph.edges:
+        for t, h in ((i, j), (j, i)):
+            e = um.edge(t, h)
+            alpha = float(gadget.instance.alpha[e])
+            table = alpha * np.log1p(axes[e][:, None, None] * ze[None, :, :]) / ln2
+            terms.append(((e, um.vertex(t, 0), um.vertex(h, 1)), table))
+    return grid, SeparableObjective(grid, terms)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from outagebf import model
 from outagebf.model import (
@@ -289,3 +292,84 @@ def test_parse_error_carries_line():
         assert "line 2" in str(e)
     else:
         pytest.fail("duplicate problem line not caught")
+
+
+# -- round-trip properties ---------------------------------------------------
+
+# magnitudes up to 1e300, so that the Hermitian blocks below cannot overflow
+_FLOATS = st.floats(-1e300, 1e300, allow_subnormal=True)
+_POSITIVE = st.floats(0.0, 1e300, exclude_min=True, allow_subnormal=True)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _model_objects(draw):
+    K = draw(st.integers(1, 4))
+    vec = arrays(np.float64, K, elements=_FLOATS)
+    kind = draw(st.sampled_from(["siso", "miso", "beams"]))
+    if kind == "siso":
+        return SisoInstance(
+            Q=draw(arrays(np.float64, (K, K), elements=_FLOATS)),
+            sigma2=draw(vec), rho=draw(vec), P=draw(vec), alpha=draw(vec),
+        )
+    Nt = draw(st.integers(1, 3))
+    re, im = (draw(arrays(np.float64, (K, K, Nt, Nt), elements=_FLOATS)) for _ in range(2))
+    B = re + 1j * im
+    if kind == "beams":
+        return BeamformerSet(w=B[0, :, 0, :])
+    # B + B^H is Hermitian to the bit, which the decoder's symmetrization keeps
+    Qcov = B + np.conj(np.swapaxes(B, 2, 3))
+    return MisoInstance(Qcov=Qcov, sigma2=draw(vec), rho=draw(vec), P=draw(vec), alpha=draw(vec))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(obj=_model_objects())
+def test_json_roundtrip_keeps_every_bit(obj):
+    back = model.loads(model.dumps(obj))
+    assert type(back) is type(obj)
+    for name in ("Q", "Qcov", "sigma2", "rho", "P", "alpha", "w"):
+        if hasattr(obj, name):
+            assert _same_bits(getattr(back, name), getattr(obj, name)), name
+    assert model.dumps(back) == model.dumps(obj)
+
+
+@st.composite
+def _graphs(draw):
+    V = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(1, V + 1) for j in range(i + 1, V + 1)]
+    edges = []
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])):
+        w = draw(_POSITIVE)
+        edges.append((j, i, w) if draw(st.booleans()) else (i, j, w))  # stored as i < j
+    return WeightedGraph(V=V, edges=tuple(edges))
+
+
+@st.composite
+def _formulas(draw):
+    N = draw(st.integers(3, 8))
+    clause = st.lists(st.integers(1, N), min_size=3, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs))
+    )
+    return CnfFormula(N=N, clauses=tuple(draw(st.lists(clause, max_size=12))))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(g=_graphs())
+def test_graph_roundtrips_through_json_and_dimacs(g):
+    text = model.write_graph_dimacs(g)
+    for back in (model.read_graph_dimacs(text), model.loads(model.dumps(g))):
+        assert back.V == g.V and back.edges == g.edges
+    assert model.write_graph_dimacs(model.read_graph_dimacs(text)) == text
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(f=_formulas())
+def test_cnf_roundtrips_through_json_and_dimacs(f):
+    text = model.write_cnf_dimacs(f)
+    for back in (model.read_cnf_dimacs(text), model.loads(model.dumps(f))):
+        assert back.N == f.N and back.clauses == f.clauses
+    assert model.write_cnf_dimacs(model.read_cnf_dimacs(text)) == text

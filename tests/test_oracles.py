@@ -1,11 +1,17 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from outagebf.model import CnfFormula, WeightedGraph
+from outagebf import oracles
+from outagebf.model import CnfFormula, SisoInstance, WeightedGraph
 from outagebf.oracles import (
     GridSpec,
+    SeparableObjective,
     discrete_srm_search,
     exhaustive_3sat,
     exhaustive_maxcut,
@@ -14,8 +20,15 @@ from outagebf.oracles import (
     sign_pattern,
     vectorize_scalar,
 )
-from outagebf.reductions import cut_from_powers, powers_from_cut, reduce_maxcut
+from outagebf.reductions import (
+    GADGET_RHO,
+    GADGET_SIGMA2,
+    cut_from_powers,
+    powers_from_cut,
+    reduce_maxcut,
+)
 from outagebf.solvers import srm_rates_from_powers
+from outagebf.zeta import zeta_roots
 
 
 def test_exhaustive_maxcut_path(path_graph):
@@ -177,6 +190,136 @@ def test_gadget_grid_objective_step_guard(single_edge_graph):
     gad = reduce_maxcut(single_edge_graph)
     with pytest.raises(ValueError, match="does not divide"):
         gadget_grid_objective(gad, step=0.3)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        [1.0, -0.1, 1.0, 0.0, 0.7, 0.7],  # below the range: must not wrap to the table's end
+        [1.0, 1.2, 1.0, 0.0, 0.7, 0.7],  # above the range
+        [1.0, 0.03, 1.0, 0.0, 0.7, 0.7],  # between lattice points
+        [1.0, 0.0, 1.0, 0.0, 0.75, 0.7],  # edge power above its budget
+        [1.0, math.nan, 1.0, 0.0, 0.7, 0.7],
+    ],
+)
+def test_gadget_grid_objective_rejects_points_off_the_lattice(single_edge_graph, point):
+    _, obj = gadget_grid_objective(reduce_maxcut(single_edge_graph), step=0.1)
+    with pytest.raises(ValueError, match="not on the lattice"):
+        obj(np.array([point]))
+
+
+def test_gadget_grid_objective_reads_lattice_points_within_rounding(single_edge_graph):
+    # 0.7 is the lattice point 7 * 0.1 = 0.7000000000000001
+    grid, obj = gadget_grid_objective(reduce_maxcut(single_edge_graph), step=0.1)
+    on_lattice = np.array([[1.0, 0.0, 0.0, 1.0] + [grid.axes()[4][7]] * 2])
+    assert obj(on_lattice)[0] == obj(np.array([[1.0, 0.0, 0.0, 1.0, 0.7, 0.7]]))[0]
+    with pytest.raises(ValueError, match="points"):
+        obj(np.array([1.0, 0.0, 0.0, 1.0, 0.7, 0.7]))
+
+
+def _scan_values(objective, grid, batch_size=1 << 18):
+    """Every value of a grid_search scan, in visiting order, and the batch lengths."""
+    batches = list(oracles._batches(objective, grid, batch_size))
+    starts = np.cumsum([0] + [len(v) for _, v in batches[:-1]])
+    assert [first for first, _ in batches] == starts.tolist()
+    return np.concatenate([v for _, v in batches]), [len(v) for _, v in batches]
+
+
+@st.composite
+def separable_problems(draw):
+    """A lattice of 2-5 axes and terms over 1-3 of them, with tied table entries."""
+    d = draw(st.integers(2, 5))
+    shape = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    lower = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=d, max_size=d))
+    step = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=d, max_size=d))
+    grid = GridSpec(
+        lower=lower, upper=[l + s * (n - 1) for l, s, n in zip(lower, step, shape)], step=step
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        axes = tuple(rng.permutation(d)[: draw(st.integers(1, min(3, d)))].tolist())
+        # few distinct values, so many lattice points tie at the maximum
+        values = rng.choice([0.1, 0.2, 0.7, 1.0], size=[shape[a] for a in axes])
+        terms.append((axes, values))
+    return SeparableObjective(grid, terms)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(objective=separable_problems())
+def test_separable_scan_matches_brute_force(objective):
+    grid = objective.grid
+    axes = grid.axes()
+    brute = []
+    for idx in itertools.product(*(range(n) for n in grid.shape())):
+        total = 0.0
+        for term_axes, table in objective.terms:
+            total += float(table[tuple(idx[a] for a in term_axes)])
+        brute.append(total)
+    brute = np.array(brute)
+    best = 0
+    for k, v in enumerate(brute):
+        if v > brute[best]:
+            best = k  # the first maximum
+    lattice = np.array(list(itertools.product(*axes)))
+    assert np.array_equal(objective(lattice), brute)
+    for batch_size in [1, 3, 4, 5, 19, 20, 21, 60, 61, 1 << 18]:
+        values, lengths = _scan_values(objective, grid, batch_size)
+        assert max(lengths) <= batch_size
+        assert np.array_equal(values, brute)
+        point, val = grid_search(objective, grid, batch_size=batch_size)
+        assert np.array_equal(point, lattice[best]) and val == brute[best]
+
+
+def test_separable_objective_checks_table_shapes():
+    grid = GridSpec(lower=(0.0, 0.0), upper=(1.0, 2.0), step=(1.0, 1.0))
+    with pytest.raises(ValueError, match="does not fit"):
+        SeparableObjective(grid, [((0, 1), np.zeros((3, 2)))])
+
+
+def _rate_sum_per_point(gadget, pts):
+    """A gadget's weighted sum rate with every root solved at every point.
+
+    The point objective the lattice scan used before its tables: the same
+    terms in the same order, vertex users first and then both directions of
+    each edge, with alpha * log1p(p * zeta) / ln2 in that order.
+    """
+    um, ln2 = gadget.usermap, math.log(2.0)
+    total = np.zeros(len(pts))
+    for i in range(1, gadget.graph.V + 1):
+        for a in (0, 1):
+            u, partner = um.vertex(i, a), um.vertex(i, 1 - a)
+            zeta = zeta_roots(GADGET_SIGMA2, GADGET_RHO, pts[:, partner][None, :])
+            total += np.log1p(pts[:, u] * zeta) / ln2
+    for i, j, _ in gadget.graph.edges:
+        for t, h in ((i, j), (j, i)):
+            e = um.edge(t, h)
+            interference = np.stack([pts[:, um.vertex(t, 0)], pts[:, um.vertex(h, 1)]])
+            zeta = zeta_roots(GADGET_SIGMA2, GADGET_RHO, interference)
+            total += float(gadget.instance.alpha[e]) * np.log1p(pts[:, e] * zeta) / ln2
+    return total
+
+
+def test_gadget_scan_equals_point_values_bit_for_bit():
+    # a single-edge gadget normalizes both edge weights to 1/2, whatever the
+    # edge weight; give the edge users weights that are not powers of two
+    gadget = reduce_maxcut(WeightedGraph(V=2, edges=((1, 2, 0.3),)))
+    inst = gadget.instance
+    alpha = inst.alpha.copy()
+    alpha[[gadget.usermap.edge(1, 2), gadget.usermap.edge(2, 1)]] = [0.3, 0.7]
+    gadget = dataclasses.replace(
+        gadget, instance=SisoInstance(Q=inst.Q, sigma2=inst.sigma2, rho=inst.rho, P=inst.P, alpha=alpha)
+    )
+    grid, obj = gadget_grid_objective(gadget, step=0.1)
+    scanned, _ = _scan_values(obj, grid)
+    per_point, _ = _scan_values(lambda pts: _rate_sum_per_point(gadget, pts), grid)
+    assert scanned.size == grid.n_points() == 937024
+    assert np.array_equal(scanned.view(np.int64), per_point.view(np.int64))
+    best = int(np.argmax(per_point))
+    point, val = grid_search(obj, grid)
+    multi = np.unravel_index(best, grid.shape())
+    assert point.tolist() == [ax[i] for ax, i in zip(grid.axes(), multi)]
+    assert val == per_point[best]
 
 
 def test_sign_pattern_counts():

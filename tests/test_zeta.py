@@ -295,3 +295,41 @@ def test_step_cap_raises_in_both_kernels(monkeypatch):
         zeta_root(sigma2, rho, terms)
     with pytest.raises(ArithmeticError, match="no convergence in 20"):
         zeta_roots(sigma2, rho, np.array([[1.0]]))
+
+
+# Both properties below hold for exact roots; each computed root lies within
+# 1e-14 of its exact one (the bracket tests above), so two of them may cross
+# by up to twice that.
+_ROOT_PAIR_SLACK = 2e-14
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    sigma2=st.floats(1e-3, 1e3),
+    rho=st.floats(1e-6, 0.999),
+    terms=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8),
+    grow=st.floats(1e-12, 1e6),
+)
+def test_root_does_not_increase_when_one_term_grows(sigma2, rho, terms, grow):
+    # lane 0 holds the terms; lane 1 + k holds them with term k grown
+    n = len(terms)
+    T = np.tile(np.array(terms)[:, None], (1, 1 + n))
+    T[np.arange(n), 1 + np.arange(n)] += grow
+    z = zeta_roots(sigma2, rho, T)
+    assert np.all(z[1:] <= z[0] * (1.0 + _ROOT_PAIR_SLACK)), (z[0], z[1:])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    sigma2=st.floats(1e-3, 1e3),
+    rho=st.floats(1e-6, 0.999),
+    gains=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6),
+    powers=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=12),
+)
+def test_power_times_root_does_not_decrease_in_power(sigma2, rho, gains, powers):
+    # interferers at powers p * g: p * zeta(p g) does not decrease in p, which
+    # is the scalability of the minimal-power response c / zeta (Yates)
+    p = np.sort(np.array(powers))
+    z = zeta_roots(sigma2, rho, np.array(gains)[:, None] * p[None, :])
+    pz = p * z
+    assert np.all(pz[1:] >= pz[:-1] * (1.0 - _ROOT_PAIR_SLACK)), pz

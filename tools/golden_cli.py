@@ -61,6 +61,7 @@ INVOCATIONS = [
     ["verify-certificate", "maxcut.json", "cut.json"],
     ["verify-certificate", "sat.json", "assignment.json"],
     ["verify", "lemma2"],
+    ["verify", "lemma2", "--step", "0.05"],
     ["verify", "lemma3", "--seed", "3"],
     ["verify", "lemma5"],
     ["verify", "maxcut-equiv", "--seed", "4"],
