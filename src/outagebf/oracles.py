@@ -153,14 +153,11 @@ class GridSpec:
         axis value, the tolerance :meth:`axes` uses for the upper end, so
         0.7 is the point 14 * 0.05 = 0.7000000000000001.  Raises ValueError
         for a coordinate off the lattice, outside the bounds or not finite.
-        Columns past the d-th are not read, as a point objective that picks
-        its columns by index does not read them.
         """
         pts = np.asarray(points, dtype=np.float64)
         d = len(self.step)
-        if pts.ndim != 2 or pts.shape[1] < d:
+        if pts.ndim != 2 or pts.shape[1] != d:
             raise ValueError(f"expected (n, {d}) points, got shape {pts.shape}")
-        pts = pts[:, :d]
         q = (pts - self.lower) / self.step
         k = np.rint(q)
         with np.errstate(invalid="ignore"):

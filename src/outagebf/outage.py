@@ -47,9 +47,9 @@ def instantaneous_rate(channels, beams: BeamformerSet, i: int, sigma2_i: float) 
     ``channels[k]`` is the realized vector from transmitter k into receiver i.
     """
     h = np.asarray(channels, dtype=np.complex128)
+    _check_user(len(h), i)
     g = np.abs(np.einsum("kn,kn->k", h.conj(), beams.w)) ** 2
-    interf = float(np.sum(g)) - float(g[i])
-    return math.log1p(g[i] / (interf + sigma2_i)) / _LN2
+    return math.log1p(g[i] / (float(np.sum(g)) - float(g[i]) + sigma2_i)) / _LN2
 
 
 def _gains(instance, x) -> np.ndarray:
@@ -67,8 +67,14 @@ def _gains(instance, x) -> np.ndarray:
     return np.maximum(G, 0.0)
 
 
+def _check_user(K: int, i: int) -> None:
+    if not 0 <= i < K:  # numpy would read a negative index from the end
+        raise ValueError(f"user index {i} out of range for K = {K}")
+
+
 def _one_rate(K: int, i: int, R_i: float) -> np.ndarray:
     """Rate vector that is R_i at user i and 0 elsewhere."""
+    _check_user(K, i)
     return np.where(np.eye(K, dtype=bool)[i], R_i, 0.0)
 
 
@@ -121,8 +127,7 @@ def _cov_factor(Q: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything lower is a
     factorization failure.
     """
-    Qh = 0.5 * (Q + Q.conj().T)
-    lam, U = np.linalg.eigh(Qh)
+    lam, U = np.linalg.eigh(0.5 * (Q + Q.conj().T))
     if lam[0] < -_PSD_CLIP:
         raise ValueError(
             f"covariance is not PSD (min eigenvalue {lam[0]:.3g} < -{_PSD_CLIP:g})"
@@ -140,38 +145,32 @@ def mc_outage(
 ):
     """Monte-Carlo estimate of Pr[rate_i < R_i] with binomial standard error.
 
-    Channels h_ki ~ CN(0, Qcov[k, i]) are drawn independently through
-    eigendecomposition factors from one counter-based Philox stream, in fixed
-    chunks of 65536 samples with users in index order inside each chunk — the
-    estimate is bit-reproducible given (seed, n_samples).
+    For h_ki ~ CN(0, Qcov[k, i]) with F F^H = Qcov[k, i] (eigendecomposition),
+    h_ki^H w_k has the law of a_k z with a_k = w_k^H F and z ~ CN(0, I), so the
+    power |h_ki^H w_k|^2 is exactly |a_k|^2 times an Exp(1) draw: one draw per
+    user and sample, from one Philox stream in fixed chunks of 65536 samples,
+    users in index order inside a chunk.  The estimate is bit-reproducible
+    given (seed, n_samples); versions that drew the Nt-vector channels used
+    another stream, so their estimates differ by Monte-Carlo noise.
 
     Returns (estimate, stderr).
     """
+    K = instance.K
+    _check_user(K, i)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if R_i < 0:
         raise ValueError("rate must be nonnegative")
     if R_i == 0.0:
         return 0.0, 0.0  # rate is a.s. nonnegative
-    K, Nt = instance.K, instance.Nt
-    # row vectors a_k with y_k = a_k z ~ h_ki^H w_k for z standard complex normal
-    a = np.empty((K, Nt), dtype=np.complex128)
-    for k in range(K):
-        a[k] = beams.w[k].conj() @ _cov_factor(instance.Qcov[k, i])
+    a = np.array([beams.w[k].conj() @ _cov_factor(instance.Qcov[k, i]) for k in range(K)])
+    scale = np.sum(a.real**2 + a.imag**2, axis=1)  # mean power of transmitter k at i
     thresh = math.expm1(R_i * _LN2)
-    sigma2 = float(instance.sigma2[i])
     rng = np.random.Generator(np.random.Philox(key=seed))
     count = 0
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        g = np.empty((K, m))
-        for k in range(K):
-            z = rng.standard_normal((Nt, m)) + 1j * rng.standard_normal((Nt, m))
-            y = a[k] @ z
-            g[k] = 0.5 * (y.real**2 + y.imag**2)  # z has variance 2 per entry
+    for done in range(0, n_samples, _MC_CHUNK):
+        g = scale[:, None] * rng.standard_exponential((K, min(_MC_CHUNK, n_samples - done)))
         interf = np.sum(g, axis=0) - g[i]
-        count += int(np.count_nonzero(g[i] < thresh * (interf + sigma2)))
-        done += m
+        count += int(np.count_nonzero(g[i] < thresh * (interf + instance.sigma2[i])))
     est = count / n_samples
     return est, math.sqrt(est * (1.0 - est) / n_samples)

@@ -133,3 +133,23 @@ def mmf_modulus_bound_direct(instance, step):
         )
         worst = max(worst, L / float(instance.alpha[i]))
     return 0.5 * step * worst
+
+
+def mc_outage_direct(instance, w, R, i, n_samples, seed):
+    """Pr[rate_i < R] by drawing every channel vector h_ki ~ CN(0, Qcov[k, i]).
+
+    Each covariance is factored by SVD (Q = U S U^H for a Hermitian PSD Q),
+    each realization is h = U sqrt(S) z with z ~ CN(0, I) from numpy's
+    default generator, and a realization is an outage when
+    log2(1 + SINR_i) < R.  Returns the fraction of outages.
+    """
+    rng = np.random.default_rng(seed)
+    power = np.empty((instance.K, n_samples))
+    for k in range(instance.K):
+        U, S, _ = np.linalg.svd(instance.Qcov[k, i])
+        shape = (instance.Nt, n_samples)
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        h = (U * np.sqrt(S)) @ z  # column n is the n-th realization of h_ki
+        power[k] = np.abs(h.conj().T @ w[k]) ** 2
+    sinr = power[i] / (power.sum(axis=0) - power[i] + instance.sigma2[i])
+    return np.count_nonzero(np.log2(1.0 + sinr) < R) / n_samples

@@ -136,7 +136,7 @@ def test_criterion_04_single_edge_grid_maximum(report):
     for combo in itertools.product(((0, 0), (1, 1), (1, 0), (0, 1)), repeat=2):
         if not any(a == b for a, b in combo):
             continue
-        powers = [float(x) for pair in combo for x in pair] + [0.7] * 4
+        powers = [float(x) for pair in combo for x in pair] + [0.7] * 2
         worst_bad = max(worst_bad, float(objective(np.array([powers]))[0]))
     ok = worst_bad < best_val
     t = time.perf_counter() - t0

@@ -126,6 +126,14 @@ def test_gridspec_validation():
         GridSpec(lower=(1.0,), upper=(0.0,), step=(0.1,))
 
 
+def test_gridspec_indices_rejects_extra_or_missing_columns():
+    grid = GridSpec(lower=(0.0, -1.0), upper=(1.0, 1.0), step=(0.25, 0.5))
+    assert grid.indices(np.array([[0.5, 0.5]])).tolist() == [[2, 3]]
+    for shape in ((3, 4), (3, 1), (2,)):
+        with pytest.raises(ValueError, match=r"expected \(n, 2\) points"):
+            grid.indices(np.zeros(shape))
+
+
 def test_grid_search_quadratic():
     grid = GridSpec(lower=(0.0, 0.0), upper=(1.0, 1.0), step=(0.1, 0.1))
     obj = vectorize_scalar(lambda x: -((x[0] - 0.3) ** 2) - (x[1] - 0.8) ** 2)

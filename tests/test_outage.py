@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import lhs_direct, rate_cap
+from _oracles import lhs_direct, mc_outage_direct, rate_cap
 from outagebf import sampling
 from outagebf.model import BeamformerSet, MisoInstance, beams_from_powers
 from outagebf.outage import (
@@ -279,6 +279,68 @@ def test_mc_outage_rejects_indefinite_covariance():
     beams = BeamformerSet(w=np.array([[1.0 + 0.0j, 0.0]]))
     with pytest.raises(ValueError, match="not PSD"):
         mc_outage(inst, beams, 0.2, 0, 1000, seed=0)
+
+
+def test_user_index_out_of_range_raises():
+    # a negative index must not wrap around to user K - 1
+    rng = np.random.default_rng(8)
+    miso = sampling.random_miso_instance(rng, 3, 2)
+    beams = sampling.random_beamformers(rng, miso)
+    siso = sampling.random_siso_instance(rng, 3)
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            mc_outage(miso, beams, 0.2, i, 100, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            mc_outage(miso, beams, 0.0, i, 100, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            outage_lhs(miso, beams, 0.2, i)
+        with pytest.raises(ValueError, match="out of range"):
+            outage_lhs_siso(siso, [0.5, 0.5, 0.5], 0.2, i)
+        with pytest.raises(ValueError, match="out of range"):
+            instantaneous_rate(np.ones((3, 2)), beams, i, 1.0)
+
+
+def _rank_one_instance(rng, K, Nt):
+    Qcov = np.zeros((K, K, Nt, Nt), dtype=np.complex128)
+    for k in range(K):
+        for i in range(K):
+            v = rng.standard_normal(Nt) + 1j * rng.standard_normal(Nt)
+            Qcov[k, i] = (1.0 if k == i else 0.2) * np.outer(v, v.conj())
+    return MisoInstance(
+        Qcov=Qcov, sigma2=[0.8] * K, rho=[0.85] * K, P=[1.0] * K, alpha=[1.0] * K
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: sampling.random_miso_instance(rng, 1, 1),
+        lambda rng: sampling.random_miso_instance(rng, 3, 4),
+        lambda rng: _rank_one_instance(rng, 2, 3),
+    ],
+    ids=["K1-Nt1", "K3-Nt4", "rank-one"],
+)
+def test_mc_outage_agrees_with_channel_level_oracle(make):
+    # the oracle draws whole channel vectors through its own factorization;
+    # at the tight rate both estimates are binomial with mean 1 - rho_i, so
+    # each must sit within 5 standard deviations of it and of each other
+    rng = np.random.default_rng(31)
+    inst = make(rng)
+    beams = sampling.random_beamformers(rng, inst)
+    w, n = beams.w, 100_000
+
+    def quad(k, i):
+        return float(np.real(w[k].conj() @ inst.Qcov[k, i] @ w[k]))
+
+    for i in range(inst.K):
+        rho = float(inst.rho[i])
+        interference = [quad(k, i) for k in range(inst.K) if k != i]
+        R = rate_cap(rho, float(inst.sigma2[i]), quad(i, i), interference)
+        direct = mc_outage_direct(inst, w, R, i, n, seed=1000 + i)
+        est, _ = mc_outage(inst, beams, R, i, n, seed=2000 + i)
+        sd = math.sqrt(rho * (1.0 - rho) / n)
+        assert abs(direct - (1.0 - rho)) <= 5.0 * sd
+        assert abs(est - direct) <= 5.0 * math.sqrt(2.0) * sd
 
 
 def test_rate_cap_oracle_consistency(three_user_instance):

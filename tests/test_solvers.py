@@ -537,3 +537,30 @@ def test_bisections_at_extremes_give_a_checked_witness_or_raise(
         return
     assert 0.0 < rho < 1.0
     _assert_witness(dataclasses.replace(inst, rho=np.full(K, rho)), p, targets)
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12])
+@pytest.mark.parametrize("K", [1, 3, 8])
+def test_bisections_at_extreme_rho(K, rho):
+    # a floor near 0 makes every rate large; near 1 the interference-free
+    # bound log2(1 + P_i Q_ii log(1/rho) / sigma2_i) falls toward 0, and
+    # below a fixed delta the bisection has nothing to halve, so a delta
+    # relative to the bound is tried as well
+    inst = sampling.random_siso_instance(np.random.default_rng(100 + K), K)
+    inst = dataclasses.replace(inst, rho=np.full(K, rho))
+    ub = mmf_upper_bound(inst)
+    for delta in (1e-5, 1e-6 * ub):
+        sol = mmf_bisection(inst, delta)
+        assert 0.0 <= sol.R <= ub
+        _assert_witness(inst, sol.p, inst.alpha * sol.R)
+        assert (sol.iterations == 0) == (ub < delta)
+        if sol.iterations == 0:
+            assert sol.R == 0.0
+        assert sol.R + delta >= ub or not feasibility_fixed_point(inst, sol.R + delta).feasible
+        # the MMF rates are supportable at rho, so the largest supporting
+        # floor is at least rho, to within the bisection's tolerance
+        tol = 0.1 * min(rho, 1.0 - rho)
+        targets = inst.alpha * sol.R
+        rho_star, p = outage_balancing_siso(inst, targets, tol=tol)
+        assert rho - tol <= rho_star < 1.0
+        _assert_witness(dataclasses.replace(inst, rho=np.full(K, rho_star)), p, targets)

@@ -15,9 +15,10 @@ runs every invocation under both trees, on identical inputs in separate
 directories, and prints per invocation whether the exit codes match, whether
 every non-float field of the JSON output matches (keys, lengths, strings,
 integers, booleans, verdicts), the largest relative and absolute
-differences between float fields, and how many floats flip between 0.0 and
--0.0 (equal as numbers, different as text); it exits 1 when an exit code or
-a non-float field differs.
+differences between float fields, how many floats flip between 0.0 and
+-0.0 (equal as numbers, different as text), and the fields whose floats
+differ (list indices written as []); it exits 1 when an exit code or a
+non-float field differs.
 This is a manual refactoring check and not part of the test suite.
 """
 
@@ -53,6 +54,8 @@ INVOCATIONS = [
     ["zeta", "--sigma2", "0.1", "--rho", "0.95", "--terms", "0.3,0.8"],
     ["eval-outage", "siso.json", "siso_p.json", "--rates", "0.2,0.1,0.3,0.15", "--samples", "3000"],
     ["eval-outage", "miso.json", "miso_w.json", "--rates", "0.3,0.2,0.4", "--samples", "3000"],
+    # crosses a 65536-sample chunk boundary of the Monte-Carlo stream
+    ["eval-outage", "miso.json", "miso_w.json", "--rates", "0.3,0.2,0.4", "--samples", "100000"],
     ["solve-mmf-siso", "siso.json", "--trace"],
     ["solve-mmf-siso", "siso.json", "--delta", "1e-8"],
     ["solve-balancing", "siso.json", "--rates", "0.2,0.3,0.1,0.25"],
@@ -118,32 +121,34 @@ def compare(a, b, path="$"):
 
     Returns (first non-float difference or None, largest relative float
     difference, largest absolute float difference, number of floats that
-    flip between 0.0 and -0.0, which compare equal but print differently).
+    flip between 0.0 and -0.0, which compare equal but print differently,
+    set of paths with list indices written as [] whose floats differ).
     """
     if isinstance(a, float) and isinstance(b, float):
         if math.isnan(a) and math.isnan(b):
-            return None, 0.0, 0.0, 0
+            return None, 0.0, 0.0, 0, set()
         if a == b:
-            return None, 0.0, 0.0, int(math.copysign(1.0, a) != math.copysign(1.0, b))
-        return None, abs(a - b) / max(abs(a), abs(b)), abs(a - b), 0
+            return None, 0.0, 0.0, int(math.copysign(1.0, a) != math.copysign(1.0, b)), set()
+        return None, abs(a - b) / max(abs(a), abs(b)), abs(a - b), 0, {path}
     if type(a) is not type(b):
-        return path, 0.0, 0.0, 0
+        return path, 0.0, 0.0, 0, set()
     if isinstance(a, dict):
         if list(a) != list(b):
-            return path + " keys", 0.0, 0.0, 0
+            return path + " keys", 0.0, 0.0, 0, set()
         pairs = [(a[k], b[k], f"{path}.{k}") for k in a]
     elif isinstance(a, list):
         if len(a) != len(b):
-            return path + " length", 0.0, 0.0, 0
-        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+            return path + " length", 0.0, 0.0, 0, set()
+        pairs = [(x, y, f"{path}[]") for x, y in zip(a, b)]
     else:
-        return (None if a == b else path), 0.0, 0.0, 0
-    first, rel, absolute, flips = None, 0.0, 0.0, 0
+        return (None if a == b else path), 0.0, 0.0, 0, set()
+    first, rel, absolute, flips, where = None, 0.0, 0.0, 0, set()
     for x, y, p in pairs:
-        diff, r, d, f = compare(x, y, p)
+        diff, r, d, f, w = compare(x, y, p)
         first = first or diff
         rel, absolute, flips = max(rel, r), max(absolute, d), flips + f
-    return first, rel, absolute, flips
+        where |= w
+    return first, rel, absolute, flips, where
 
 
 def parse(stdout: bytes):
@@ -169,7 +174,7 @@ def main() -> int:
         ok = True
         mine, theirs = run_all(SRC, here), run_all(args.against.resolve(), there)
         for argv, (rc_a, out_a), (rc_b, out_b) in zip(INVOCATIONS, mine, theirs):
-            diff, rel, absolute, flips = compare(parse(out_a), parse(out_b))
+            diff, rel, absolute, flips, where = compare(parse(out_a), parse(out_b))
             exits = "exit same" if rc_a == rc_b else f"exit {rc_a} vs {rc_b}"
             fields = "fields same" if diff is None else f"fields differ at {diff}"
             ok &= rc_a == rc_b and diff is None
@@ -177,6 +182,8 @@ def main() -> int:
                 f"{exits:<14} {fields:<30} max_rel_float={rel:.2g} max_abs_float={absolute:.2g}"
                 f" signed_zero_flips={flips}  {' '.join(argv)}"
             )
+            if where:
+                print(f"{'':<14} floats differ at {', '.join(sorted(where))}")
     return 0 if ok else 1
 
 
