@@ -52,7 +52,6 @@ from .oracles import (
     gadget_grid_objective,
     grid_search,
     sign_pattern,
-    vectorize_scalar,
 )
 from .zeta import ZetaContext, dzeta_e_dp, dzeta_v_dp, solve_zeta, zeta_upper_bound
 
@@ -496,11 +495,9 @@ def _verify_algorithm1(args):
         # per-axis steps of at most `step` whose lattice ends exactly at P_i
         axis_steps = tuple(P / math.ceil(P / step) for P in inst.P)
         grid = GridSpec(lower=(0.0,) * K, upper=tuple(inst.P), step=axis_steps)
-
-        def obj(p):
-            return float(np.min(srm_rates_from_powers(inst, p) / inst.alpha))
-
-        _, r_grid = grid_search(vectorize_scalar(obj), grid)
+        _, r_grid = grid_search(
+            lambda pts: np.min(srm_rates_from_powers(inst, pts) / inst.alpha, axis=1), grid
+        )
         band = args.delta + mmf_modulus_bound(inst, step)
         ok &= r_grid - args.delta <= sol.R <= r_grid + band
         worst = max(worst, abs(sol.R - r_grid))

@@ -43,6 +43,7 @@ __all__ = [
 _MAXCUT_LIMIT = 24
 _SAT_LIMIT = 24
 _SRM_LIMIT = 20
+_PATTERN_BLOCK = 1 << 12
 _GRID_LIMIT = 100_000_000
 
 
@@ -93,23 +94,25 @@ def exhaustive_3sat(cnf: CnfFormula):
 def discrete_srm_search(gadget: MaxCutGadget):
     """Best discrete pattern by scoring all 2^V cut encodings (V <= 20).
 
-    Evaluates the weighted sum of srm_rates_from_powers at every
-    powers_from_cut pattern; ties break to the lowest cut bitmask.
+    Scores alpha @ srm_rates_from_powers at every powers_from_cut pattern, in
+    blocks of _PATTERN_BLOCK cut bitmasks; ties break to the lowest bitmask.
     Returns (best power vector, weighted sum rate).
     """
     V = gadget.graph.V
     if V > _SRM_LIMIT:
         raise ValueError(f"discrete pattern search limited to {_SRM_LIMIT} vertices")
     alpha = gadget.instance.alpha
-    best_val = -math.inf
-    best_p = None
-    for mask in range(1 << V):
-        S = [v for v in range(1, V + 1) if (mask >> (v - 1)) & 1]
-        p = powers_from_cut(S, gadget)
-        val = float(alpha @ srm_rates_from_powers(gadget.instance, p))
-        if val > best_val:
-            best_val = val
-            best_p = p
+    best_val, best_p = -math.inf, None
+    for m0 in range(0, 1 << V, _PATTERN_BLOCK):
+        P = np.array([
+            powers_from_cut([v for v in range(1, V + 1) if (mask >> (v - 1)) & 1], gadget)
+            for mask in range(m0, min(m0 + _PATTERN_BLOCK, 1 << V))
+        ])
+        for p, r in zip(P, srm_rates_from_powers(gadget.instance, P)):
+            # one dot product per row, as for a lone pattern: R @ alpha sums in another order
+            val = float(alpha @ r)
+            if val > best_val:
+                best_val, best_p = val, p.copy()
     return best_p, best_val
 
 

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .model import BeamformerSet, MisoInstance, SisoInstance
+from .model import PSD_TOL, BeamformerSet, MisoInstance, SisoInstance
 
 __all__ = [
     "instantaneous_rate",
@@ -36,7 +36,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _MC_CHUNK = 65536
-_PSD_CLIP = 1e-10
 LHS_SLACK = 1e-9  # a constraint counts as met at LHS <= 1 + LHS_SLACK
 POWER_SLACK = 1e-12  # and a power as within budget at p <= P + POWER_SLACK
 
@@ -121,20 +120,6 @@ def outage_lhs_all(instance, x, R) -> np.ndarray:
     return np.where(off, instance.rho, lhs)
 
 
-def _cov_factor(Q: np.ndarray) -> np.ndarray:
-    """F with F F^H = Q from a Hermitian eigendecomposition.
-
-    Eigenvalues in [-1e-10, 0) are clipped to zero; anything lower is a
-    factorization failure.
-    """
-    lam, U = np.linalg.eigh(0.5 * (Q + Q.conj().T))
-    if lam[0] < -_PSD_CLIP:
-        raise ValueError(
-            f"covariance is not PSD (min eigenvalue {lam[0]:.3g} < -{_PSD_CLIP:g})"
-        )
-    return U * np.sqrt(np.clip(lam, 0.0, None))
-
-
 def mc_outage(
     instance: MisoInstance,
     beams: BeamformerSet,
@@ -145,13 +130,12 @@ def mc_outage(
 ):
     """Monte-Carlo estimate of Pr[rate_i < R_i] with binomial standard error.
 
-    For h_ki ~ CN(0, Qcov[k, i]) with F F^H = Qcov[k, i] (eigendecomposition),
-    h_ki^H w_k has the law of a_k z with a_k = w_k^H F and z ~ CN(0, I), so the
-    power |h_ki^H w_k|^2 is exactly |a_k|^2 times an Exp(1) draw: one draw per
-    user and sample, from one Philox stream in fixed chunks of 65536 samples,
-    users in index order inside a chunk.  The estimate is bit-reproducible
-    given (seed, n_samples); versions that drew the Nt-vector channels used
-    another stream, so their estimates differ by Monte-Carlo noise.
+    For h_ki ~ CN(0, Qcov[k, i]), h_ki^H w_k is CN(0, g_k) with g_k the gain
+    w_k^H Qcov[k, i] w_k of ``_gains``, so the power |h_ki^H w_k|^2 is exactly
+    g_k times an Exp(1) draw: one draw per user and sample, from one Philox
+    stream in fixed chunks of 65536 samples, users in index order inside a
+    chunk.  The estimate is bit-reproducible given (seed, n_samples).  A
+    covariance Qcov[k, i] with an eigenvalue below -PSD_TOL raises ValueError.
 
     Returns (estimate, stderr).
     """
@@ -163,8 +147,10 @@ def mc_outage(
         raise ValueError("rate must be nonnegative")
     if R_i == 0.0:
         return 0.0, 0.0  # rate is a.s. nonnegative
-    a = np.array([beams.w[k].conj() @ _cov_factor(instance.Qcov[k, i]) for k in range(K)])
-    scale = np.sum(a.real**2 + a.imag**2, axis=1)  # mean power of transmitter k at i
+    lam = float(np.linalg.eigvalsh(instance.Qcov[:, i]).min())
+    if lam < -PSD_TOL:
+        raise ValueError(f"covariance is not PSD (min eigenvalue {lam:.3g} < -{PSD_TOL:g})")
+    scale = _gains(instance, beams)[:, i]  # mean power of transmitter k at i
     thresh = math.expm1(R_i * _LN2)
     rng = np.random.Generator(np.random.Philox(key=seed))
     count = 0

@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import SisoInstance, validate
-from .outage import LHS_SLACK, POWER_SLACK, outage_lhs_all
+from .outage import LHS_SLACK, POWER_SLACK, _check_user, outage_lhs_all
 from .reductions import EDGE_BUDGET, GADGET_RHO, GADGET_SIGMA2
 from .zeta import _dzeta_dp, zeta_root, zeta_roots
 
@@ -85,6 +85,7 @@ _LN2 = math.log(2.0)
 _SWEEP_CAP = 10_000
 _SWEEP_TOL = 1e-12
 _POLISH_CAP = 8
+_RATE_BLOCK = 1 << 14  # lane entries per rate block; 2^16 (512 KiB arrays) page-faulted every call
 
 
 def _check(instance: SisoInstance) -> None:
@@ -113,17 +114,13 @@ def _lanes(instance: SisoInstance, users) -> _Lanes:
     )
 
 
-def _zetas(lanes: _Lanes, p: np.ndarray, z0=None) -> np.ndarray:
-    """zeta_i of every lane at the interference Q_ki p_k the other users cause."""
-    return zeta_roots(lanes.sigma2, lanes.rho, lanes.cross * p[:, None], z0)
-
-
 def _response(lanes: _Lanes, c, p: np.ndarray, z0=None):
     """Minimal own powers c_i / (Q_ii zeta_i) meeting SINR thresholds c_i = 2^R_i - 1.
 
+    zeta_i is taken at the interference Q_ki p_k the other users cause.
     Returns the powers and the zetas, which warm-start the next sweep.
     """
-    z = _zetas(lanes, p, z0)
+    z = zeta_roots(lanes.sigma2, lanes.rho, lanes.cross * p[:, None], z0)
     return c / (lanes.direct * z), z
 
 
@@ -134,20 +131,33 @@ def srm_rates_from_powers(instance: SisoInstance, p) -> np.ndarray:
     interference equation at user i's received interference; plugging R_i back
     into the closed-form constraint gives equality.  p_i = 0 yields R_i = 0.
 
+    ``p`` is one power vector (K,) or a batch (n, K).  Each transmitting
+    (row, user) pair is one ``zeta_roots`` lane, in row blocks of about
+    _RATE_BLOCK lane entries; lanes stop and sum on their own, so every row
+    equals the call on that row alone, bit for bit.
+
     Equality holds to rounding only while R_i is a normal float, above about
     2.2e-308 (powers of order 1e-307 and up).  A smaller, subnormal R_i has
     fewer than 53 significant bits, and the constraint at it is tight only to
     about 2^-1074 / R_i (1e-11 near R_i = 5e-313); a rate that underflows to
     0 leaves the constraint at LHS_i = rho_i.
     """
+    K = instance.K
     p = np.asarray(p, dtype=np.float64)
+    if p.ndim not in (1, 2) or p.shape[-1] != K:
+        raise ValueError(f"powers must have shape ({K},) or (n, {K}), got {p.shape}")
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative")
-    R = np.zeros(instance.K)
-    on = np.flatnonzero(p > 0)
-    lanes = _lanes(instance, on)
-    R[on] = np.log1p(_zetas(lanes, p) * lanes.direct * p[on]) / _LN2
-    return R
+    P = p.reshape(-1, K)
+    R = np.zeros(P.shape)
+    rows = max(1, _RATE_BLOCK // K**2)
+    for m0 in range(0, len(P), rows):
+        B = P[m0 : m0 + rows]
+        m, on = np.nonzero(B > 0)
+        lanes = _lanes(instance, on)
+        z = zeta_roots(lanes.sigma2, lanes.rho, lanes.cross * B[m].T)
+        R[m0 + m, on] = np.log1p(z * lanes.direct * B[m, on]) / _LN2
+    return R.reshape(p.shape)
 
 
 def min_power_response(instance: SisoInstance, i: int, p_others, R_target: float) -> float:
@@ -157,12 +167,15 @@ def min_power_response(instance: SisoInstance, i: int, p_others, R_target: float
     the root is c / (Q_ii * zeta_i), zeta_i evaluated at the fixed interferer
     powers (entry i of ``p_others`` is ignored).  R_target = 0 needs no power.
     """
+    _check_user(instance.K, i)
+    p = np.asarray(p_others, dtype=np.float64)
+    if p.shape != (instance.K,):
+        raise ValueError(f"p_others must have shape ({instance.K},)")
     if R_target < 0:
         raise ValueError("R_target must be nonnegative")
     if R_target == 0.0:
         return 0.0
     c = math.expm1(R_target * _LN2)
-    p = np.asarray(p_others, dtype=np.float64)
     return float(_response(_lanes(instance, [i]), c, p)[0][0])
 
 

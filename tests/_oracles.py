@@ -153,3 +153,22 @@ def mc_outage_direct(instance, w, R, i, n_samples, seed):
         power[k] = np.abs(h.conj().T @ w[k]) ** 2
     sinr = power[i] / (power.sum(axis=0) - power[i] + instance.sigma2[i])
     return np.count_nonzero(np.log2(1.0 + sinr) < R) / n_samples
+
+
+def discrete_srm_search_loop(gadget, rates, pattern):
+    """Best cut pattern of a gadget, scored one pattern per call.
+
+    ``pattern(S)`` is the power vector of cut S and ``rates(p)`` the rate
+    profile at one power vector.  The weighted sums alpha @ rates(p) of the
+    2^V patterns are compared in cut bitmask order (vertex 1 least
+    significant), so a tie keeps the lowest bitmask.  Returns (power vector,
+    weighted sum rate).
+    """
+    V = gadget.graph.V
+    best_p, best_val = None, -math.inf
+    for mask in range(1 << V):
+        p = pattern([v for v in range(1, V + 1) if (mask >> (v - 1)) & 1])
+        val = float(gadget.instance.alpha @ rates(p))
+        if val > best_val:
+            best_p, best_val = p, val
+    return best_p, best_val

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outagebf import oracles
+from _oracles import discrete_srm_search_loop
+from outagebf import oracles, sampling
 from outagebf.model import CnfFormula, SisoInstance, WeightedGraph
 from outagebf.oracles import (
     GridSpec,
@@ -92,6 +93,33 @@ def test_discrete_srm_search_agrees_with_maxcut(single_edge_graph):
     best_p, best_val = discrete_srm_search(gad)
     S, w = exhaustive_maxcut(single_edge_graph)
     assert gad.graph.cut_weight(cut_from_powers(best_p, gad)) == w
+
+
+@pytest.mark.parametrize("block", [3, oracles._PATTERN_BLOCK])
+def test_discrete_srm_search_equals_per_pattern_loop(block, path_graph, single_edge_graph, monkeypatch):
+    monkeypatch.setattr(oracles, "_PATTERN_BLOCK", block)
+    graphs = [path_graph, single_edge_graph] + [
+        sampling.random_connected_graph(np.random.default_rng(100 * V + s), V)
+        for V in range(2, 8)
+        for s in range(3)
+    ]
+    for graph in graphs:
+        gad = reduce_maxcut(graph)
+        p, val = discrete_srm_search(gad)
+        p_ref, val_ref = discrete_srm_search_loop(
+            gad, lambda q: srm_rates_from_powers(gad.instance, q), lambda S: powers_from_cut(S, gad)
+        )
+        assert val == val_ref and p.tobytes() == p_ref.tobytes()
+
+
+def test_discrete_srm_search_breaks_exact_ties_to_the_lowest_bitmask(path_graph, single_edge_graph):
+    # both orientations of these maximum cuts score the same bits
+    for graph, low, high in ((single_edge_graph, (1,), (2,)), (path_graph, (2,), (1, 3))):
+        gad = reduce_maxcut(graph)
+        P = np.array([powers_from_cut(low, gad), powers_from_cut(high, gad)])
+        r = srm_rates_from_powers(gad.instance, P)
+        assert float(gad.instance.alpha @ r[0]) == float(gad.instance.alpha @ r[1])
+        assert np.array_equal(discrete_srm_search(gad)[0], P[0])
 
 
 def test_discrete_srm_search_size_guard():

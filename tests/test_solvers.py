@@ -27,6 +27,7 @@ from outagebf.solvers import (
     single_user_objective_f,
     srm_rates_from_powers,
 )
+from outagebf.zeta import zeta_roots
 
 LN2 = math.log(2.0)
 
@@ -92,6 +93,56 @@ def test_rates_are_tight_down_to_the_subnormal_floor(seed, K, exponent):
     assert np.array_equal(lhs[~on], inst.rho[~on])
 
 
+def test_rates_reject_powers_of_the_wrong_shape(three_user_instance):
+    # a length-2K vector must not read as two rows of a batch
+    for p in ([0.5] * 2, [0.5] * 4, [0.5] * 6, np.full((2, 4), 0.5), np.full((2, 2, 3), 0.5), 0.5):
+        with pytest.raises(ValueError, match="shape"):
+            srm_rates_from_powers(three_user_instance, p)
+
+
+def _power_batch(seed, K, n, share):
+    """n power vectors of a random K-user instance: exact zeros, whole zero rows."""
+    inst = sampling.random_siso_instance(np.random.default_rng(seed), K)
+    p = np.resize(np.array(share), (n, K)) * inst.P
+    p[::3] = 0.0
+    return inst, p
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 10),
+    n=st.integers(0, 7),
+    share=st.lists(st.just(0.0) | st.floats(1e-12, 1.0), min_size=1, max_size=70),
+)
+def test_batch_rows_equal_single_vector_calls_bit_for_bit(seed, K, n, share):
+    # K up to 10 reaches numpy's pairwise sums, which start at 8 terms
+    inst, p = _power_batch(seed, K, n, share)
+    R = srm_rates_from_powers(inst, p)
+    assert R.shape == (n, K)
+    for row, r in zip(p, R):
+        assert r.tobytes() == srm_rates_from_powers(inst, row).tobytes()
+        assert np.all(r[row == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_batch_blocks_do_not_change_rates(rows, monkeypatch):
+    inst, p = _power_batch(7, 9, 11, np.linspace(0.0, 1.0, 13).tolist())
+    whole = srm_rates_from_powers(inst, p)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2].shape[1])
+        return zeta_roots(*args)
+
+    monkeypatch.setattr(solvers, "zeta_roots", counting)
+    # K = 9: a block of rows * K^2 + K^2 - 1 lane entries holds `rows` rows
+    monkeypatch.setattr(solvers, "_RATE_BLOCK", rows * 81 + 80)
+    assert srm_rates_from_powers(inst, p).tobytes() == whole.tobytes()
+    assert len(calls) == -(-11 // rows)
+    assert sum(calls) == np.count_nonzero(p)
+
+
 def test_min_power_response_inverts_constraint(two_user_instance):
     resp = min_power_response(two_user_instance, 0, [0.0, 0.6], 0.3)
     assert outage_lhs_siso(two_user_instance, [resp, 0.6], 0.3, 0) == pytest.approx(
@@ -100,6 +151,16 @@ def test_min_power_response_inverts_constraint(two_user_instance):
     assert min_power_response(two_user_instance, 0, [0.0, 0.6], 0.0) == 0.0
     with pytest.raises(ValueError):
         min_power_response(two_user_instance, 0, [0.0, 0.6], -0.2)
+
+
+def test_min_power_response_rejects_bad_user_or_powers(three_user_instance):
+    # a negative index must not wrap around to user K - 1
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            min_power_response(three_user_instance, i, [0.5] * 3, 0.2)
+    for p in ([0.5] * 2, [0.5] * 4, [[0.5] * 3]):
+        with pytest.raises(ValueError, match="shape"):
+            min_power_response(three_user_instance, 0, p, 0.2)
 
 
 def test_min_power_response_monotone(two_user_instance):

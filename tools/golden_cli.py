@@ -71,6 +71,9 @@ INVOCATIONS = [
     ["verify", "maxcut-equiv", "--in", "maxcut.json"],
     ["verify", "sat-equiv", "--seed", "5"],
     ["verify", "algorithm1", "--seed", "6"],
+    # batches of the rate evaluator: lattices for K = 1-3, cut patterns for V up to 6
+    ["verify", "algorithm1", "--trials", "20", "--seed", "7"],
+    ["verify", "maxcut-equiv", "--trials", "12", "--seed", "8"],
     ["paper-constants"],
 ]
 
